@@ -26,6 +26,7 @@ __all__ = [
     "interiors_intersect",
     "contains",
     "filter_dominated",
+    "domination_witnesses",
     "common_intersection",
 ]
 
@@ -203,6 +204,39 @@ def _bounds_arrays(rects):
     return lx, ly, hx, hy
 
 
+def _contained_rows(outer, inner, reduce) -> np.ndarray:
+    """Reduce each row of the closed-containment matrix of outer by inner boxes.
+
+    ``outer`` and ``inner`` are ``(lx, ly, hx, hy)`` array tuples. Entry
+    ``[a, b]`` of the matrix is True when inner box ``b`` lies inside the
+    closed outer box ``a`` and is not identical to it. The matrix is built
+    1024 rows at a time, and ``reduce`` maps each block to one value per row.
+    """
+    ilx, ily, ihx, ihy = inner
+    n_outer = len(outer[0])
+    block_rows = 1024
+    # Every block reuses three buffers: a fresh temporary per comparison
+    # costs page faults, four times as many on clustered boxes.
+    shape = (min(block_rows, n_outer), len(ilx))
+    inside, differs, tmp = (np.empty(shape, dtype=bool) for _ in range(3))
+    parts = []
+    for start in range(0, n_outer, block_rows):
+        lx, ly, hx, hy = (a[start:start + block_rows, None] for a in outer)
+        m = len(lx)
+        ins, dif, t = inside[:m], differs[:m], tmp[:m]
+        np.greater_equal(ilx, lx, out=ins)
+        ins &= np.less_equal(ihx, hx, out=t)
+        ins &= np.greater_equal(ily, ly, out=t)
+        ins &= np.less_equal(ihy, hy, out=t)
+        np.not_equal(ilx, lx, out=dif)
+        dif |= np.not_equal(ihx, hx, out=t)
+        dif |= np.not_equal(ily, ly, out=t)
+        dif |= np.not_equal(ihy, hy, out=t)
+        ins &= dif
+        parts.append(reduce(ins))
+    return np.concatenate(parts)
+
+
 def filter_dominated(instance) -> tuple[list[int], list[int]]:
     """Split rectangle indices into kept (non-dominated) and removed.
 
@@ -218,28 +252,28 @@ def filter_dominated(instance) -> tuple[list[int], list[int]]:
     if n <= 1:
         return list(range(n)), []
 
-    lx, ly, hx, hy = _bounds_arrays(rects)
-    dominated = np.zeros(n, dtype=bool)
-    block = 1024
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        inside = (
-            (lx[None, :] >= lx[start:stop, None])
-            & (hx[None, :] <= hx[start:stop, None])
-            & (ly[None, :] >= ly[start:stop, None])
-            & (hy[None, :] <= hy[start:stop, None])
-        )
-        identical = (
-            (lx[None, :] == lx[start:stop, None])
-            & (hx[None, :] == hx[start:stop, None])
-            & (ly[None, :] == ly[start:stop, None])
-            & (hy[None, :] == hy[start:stop, None])
-        )
-        dominated[start:stop] = (inside & ~identical).any(axis=1)
-
+    bounds = _bounds_arrays(rects)
+    dominated = _contained_rows(bounds, bounds, lambda block: block.any(axis=1))
     kept = [int(i) for i in np.flatnonzero(~dominated)]
     removed = [int(i) for i in np.flatnonzero(dominated)]
     return kept, removed
+
+
+def domination_witnesses(rects, kept, removed) -> list[int]:
+    """For each removed rectangle, the lowest-index kept one inside its closed box.
+
+    ``kept`` and ``removed`` are the lists ``filter_dominated`` returned for
+    the same rectangles. A witness always exists: containment is transitive,
+    and a chain of strictly contained boxes ends at a kept one. Any point
+    interior to the witness is interior to the removed rectangle.
+    """
+    if not removed:
+        return []
+    bounds = _bounds_arrays(rects)
+    outer = tuple(a[removed] for a in bounds)
+    inner = tuple(a[kept] for a in bounds)
+    first = _contained_rows(outer, inner, lambda block: block.argmax(axis=1))
+    return [kept[j] for j in first]
 
 
 def common_intersection(rects) -> Rectangle | None:

@@ -8,14 +8,12 @@ recomputed on demand against the view's live-vertex mask. Vertex ids always
 refer to the originally built graph, so a rectangle keeps its id across
 deletions.
 
-Two construction routes exist and must agree: a quadratic pairwise test
-(vectorized) and a top-to-bottom plane sweep that only inspects candidate
-pairs overlapping in y.
+The graph is built by one quadratic pairwise test, vectorized with numpy.
+On the kept sets the heuristics build graphs for, it is faster than a plane
+sweep over candidate pairs; the sweep wins only on nearly edge-free inputs.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left, insort
 
 import numpy as np
 
@@ -35,19 +33,13 @@ def bit_indices(mask: int) -> list[int]:
 
 
 class IntersectionGraph:
-    """Immutable view of an intersection graph, possibly with vertices removed.
+    """Immutable view of an intersection graph, possibly with vertices removed."""
 
-    ``rect_index`` maps each vertex id to the index of its rectangle in the
-    originating instance; it defaults to the identity and is preserved by
-    ``remove_vertices``.
-    """
+    __slots__ = ("_rows", "_alive")
 
-    __slots__ = ("_rows", "_alive", "_rect_index")
-
-    def __init__(self, rows: list[int], alive: int, rect_index: tuple[int, ...]):
+    def __init__(self, rows: list[int], alive: int):
         self._rows = rows
         self._alive = alive
-        self._rect_index = rect_index
 
     # -- basic queries -------------------------------------------------
 
@@ -101,9 +93,6 @@ class IntersectionGraph:
         """Bitset of the closed neighborhood of ``v``."""
         return (self._rows[v] & self._alive) | (1 << v)
 
-    def rect_index(self, v: int) -> int:
-        return self._rect_index[v]
-
     def max_degree_vertex(self) -> int | None:
         """Live vertex of maximum degree; ties go to the lowest id."""
         best_v = None
@@ -139,21 +128,17 @@ class IntersectionGraph:
         if mask & ~self._alive:
             dead = bit_indices(mask & ~self._alive)
             raise ValueError(f"cannot remove vertices not in the graph: {dead}")
-        return IntersectionGraph(self._rows, self._alive & ~mask, self._rect_index)
+        return IntersectionGraph(self._rows, self._alive & ~mask)
 
     # -- equality (structural, for tests) ------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntersectionGraph):
             return NotImplemented
-        return (
-            self._alive == other._alive
-            and self._rows == other._rows
-            and self._rect_index == other._rect_index
-        )
+        return self._alive == other._alive and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self._alive, tuple(self._rows), self._rect_index))
+        return hash((self._alive, tuple(self._rows)))
 
     def __repr__(self) -> str:
         return f"IntersectionGraph(n={self.n}, edges={self.edge_count()})"
@@ -188,137 +173,15 @@ def _build_rows_pairwise(rects) -> list[int]:
     return rows
 
 
-class _StabbingTree:
-    """Static segment tree over elementary x-cells with per-node buckets.
-
-    An active rectangle's x-span is stored at its canonical nodes; a stab
-    query walks the root-to-leaf path of one cell and reports every
-    rectangle whose span covers that cell.
-    """
-
-    __slots__ = ("_size", "_buckets")
-
-    def __init__(self, ncells: int):
-        size = 1
-        while size < max(1, ncells):
-            size *= 2
-        self._size = size
-        self._buckets: dict[int, set[int]] = {}
-
-    def insert(self, item: int, lo: int, hi: int) -> list[int]:
-        nodes = []
-        lo += self._size
-        hi += self._size
-        while lo < hi:
-            if lo & 1:
-                nodes.append(lo)
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                nodes.append(hi)
-            lo >>= 1
-            hi >>= 1
-        for nd in nodes:
-            self._buckets.setdefault(nd, set()).add(item)
-        return nodes
-
-    def remove(self, item: int, nodes: list[int]) -> None:
-        for nd in nodes:
-            self._buckets[nd].discard(item)
-
-    def stab(self, cell: int) -> list[int]:
-        out = []
-        nd = cell + self._size
-        while nd >= 1:
-            bucket = self._buckets.get(nd)
-            if bucket:
-                out.extend(bucket)
-            nd >>= 1
-        return out
-
-
-def _build_rows_sweep(rects) -> list[int]:
-    """Plane sweep from top to bottom reporting all open-overlap pairs.
-
-    At a rectangle's top edge it is paired with every active rectangle
-    overlapping it in x, found as (a) actives whose span covers the cell at
-    its left edge (stab query) and (b) actives whose left edge falls inside
-    its span (sorted-list slice); the two parts partition the matches.
-    Bottom events are processed before top events at equal y, because open
-    interiors that only meet along a horizontal line do not intersect.
-    """
-    n = len(rects)
-    rows = [0] * n
-    if n <= 1:
-        return rows
-
-    xs = sorted({r.lo.x for r in rects} | {r.hi.x for r in rects})
-    x_id = {x: i for i, x in enumerate(xs)}
-    tree = _StabbingTree(len(xs) - 1)
-
-    REMOVE, INSERT = 0, 1
-    events = []
-    for i, r in enumerate(rects):
-        events.append((-r.hi.y, INSERT, i))
-        events.append((-r.lo.y, REMOVE, i))
-    events.sort()
-
-    active: list[tuple[float, int]] = []  # (lo.x, id), sorted
-    canonical: dict[int, list[int]] = {}
-
-    for _, kind, i in events:
-        r = rects[i]
-        if kind == REMOVE:
-            tree.remove(i, canonical.pop(i))
-            pos = bisect_left(active, (r.lo.x, i))
-            active.pop(pos)
-            continue
-        a = x_id[r.lo.x]
-        b = x_id[r.hi.x]
-        bit_i = 1 << i
-        # (a) actives strictly straddling the left edge of r
-        for j in tree.stab(a):
-            if rects[j].lo.x < r.lo.x:
-                rows[i] |= 1 << j
-                rows[j] |= bit_i
-        # (b) actives whose left edge starts inside r's open-closed x-span
-        left = bisect_left(active, (r.lo.x, -1))
-        right = bisect_left(active, (r.hi.x, -1))
-        for _, j in active[left:right]:
-            rows[i] |= 1 << j
-            rows[j] |= bit_i
-        canonical[i] = tree.insert(i, a, b)
-        insort(active, (r.lo.x, i))
-    return rows
-
-
-_AUTO_SWEEP_THRESHOLD = 2048
-
-
-def build_graph(rects, method: str = "auto", rect_index=None) -> IntersectionGraph:
+def build_graph(rects) -> IntersectionGraph:
     """Build the intersection graph of a rectangle list.
 
-    ``method`` is "pairwise", "sweep", or "auto" (pairwise below a size
-    threshold, sweep above). ``rect_index`` optionally maps vertex ids to
-    instance indices; it defaults to the identity.
+    Vertex ``i`` is ``rects[i]``. Every pair is tested at once with numpy,
+    in blocks of rows, and each row is packed into a bitset.
     """
     rects = list(rects)
     for r in rects:
         if not isinstance(r, Rectangle):
             raise TypeError(f"expected Rectangle, got {type(r).__name__}")
-    if method == "auto":
-        method = "sweep" if len(rects) > _AUTO_SWEEP_THRESHOLD else "pairwise"
-    if method == "pairwise":
-        rows = _build_rows_pairwise(rects)
-    elif method == "sweep":
-        rows = _build_rows_sweep(rects)
-    else:
-        raise ValueError(f"unknown build method: {method!r}")
-    if rect_index is None:
-        rect_index = tuple(range(len(rects)))
-    else:
-        rect_index = tuple(rect_index)
-        if len(rect_index) != len(rects):
-            raise ValueError("rect_index length does not match rects")
     alive = (1 << len(rects)) - 1
-    return IntersectionGraph(rows, alive, rect_index)
+    return IntersectionGraph(_build_rows_pairwise(rects), alive)

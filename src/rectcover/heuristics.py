@@ -4,8 +4,8 @@ Every heuristic first discards dominated rectangles (a rectangle containing
 another one) and works on the rest; a dominated rectangle is stabbed for
 free by any point interior to a rectangle it contains, and it can never be
 part of an independent set. Cover results are reported over the full
-instance: dominated rectangles are assigned the point of a kept rectangle
-they contain.
+instance: each dominated rectangle gets the point of its domination
+witness, the lowest-index kept rectangle inside it.
 
 The two cover heuristics differ in one step: the plain one repeatedly stabs
 and deletes a maximum clique, while the refined one first looks for a
@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cliques import find_simplicial, max_clique_sweep
-from .geometry import Instance, Point, filter_dominated
+from .geometry import Instance, Point, domination_witnesses, filter_dominated
 from .graph import build_graph
 
 __all__ = ["CoverResult", "IndependentSetResult", "gcc", "gcc_i", "mis_greedy", "mis_i"]
@@ -69,28 +69,6 @@ def _prepare(instance: Instance):
     return kept, removed, rects
 
 
-def _closed_subset(inner, outer) -> bool:
-    return (
-        outer.lo.x <= inner.lo.x
-        and inner.hi.x <= outer.hi.x
-        and outer.lo.y <= inner.lo.y
-        and inner.hi.y <= outer.hi.y
-    )
-
-
-def _assign_dominated(instance, kept, removed, assign) -> None:
-    # A dominated rectangle contains, transitively, some kept rectangle;
-    # any point interior to the contained one is interior to the container.
-    for i in removed:
-        outer = instance.rects[i]
-        for j in kept:
-            if _closed_subset(instance.rects[j], outer):
-                assign[i] = assign[j]
-                break
-        else:
-            raise AssertionError(f"dominated rectangle {i} contains no kept rectangle")
-
-
 def _cover_result(instance, assign, points, theta, phi, iterations, t0) -> CoverResult:
     assignment = tuple(assign[i] for i in range(instance.n))
     return CoverResult(
@@ -120,7 +98,8 @@ def gcc(instance: Instance) -> CoverResult:
             assign[kept[alive[local]]] = pid
         alive = [v for idx, v in enumerate(alive) if idx not in hit]
         iterations += 1
-    _assign_dominated(instance, kept, removed, assign)
+    for i, w in zip(removed, domination_witnesses(instance.rects, kept, removed)):
+        assign[i] = assign[w]
     return _cover_result(instance, assign, points, 0, len(points), iterations, t0)
 
 
@@ -133,7 +112,7 @@ def gcc_i(instance: Instance) -> CoverResult:
     """
     t0 = time.perf_counter()
     kept, removed, rects = _prepare(instance)
-    graph = build_graph(rects, rect_index=kept)
+    graph = build_graph(rects)
     points: list[Point] = []
     assign: dict[int, int] = {}
     theta = 0
@@ -157,7 +136,8 @@ def gcc_i(instance: Instance) -> CoverResult:
             assign[kept[v]] = pid
         graph = graph.remove_vertices(members)
         iterations += 1
-    _assign_dominated(instance, kept, removed, assign)
+    for i, w in zip(removed, domination_witnesses(instance.rects, kept, removed)):
+        assign[i] = assign[w]
     return _cover_result(instance, assign, points, theta, phi, iterations, t0)
 
 
@@ -171,7 +151,7 @@ def mis_greedy(instance: Instance) -> IndependentSetResult:
     """
     t0 = time.perf_counter()
     kept, _, rects = _prepare(instance)
-    graph = build_graph(rects, rect_index=kept)
+    graph = build_graph(rects)
     chosen: list[int] = []
     while graph.n:
         witness = find_simplicial(graph, rects)
@@ -191,7 +171,7 @@ def mis_i(instance: Instance) -> IndependentSetResult:
     """
     t0 = time.perf_counter()
     kept, _, rects = _prepare(instance)
-    graph = build_graph(rects, rect_index=kept)
+    graph = build_graph(rects)
     chosen: list[int] = []
     while graph.n:
         witness = find_simplicial(graph, rects)

@@ -15,7 +15,7 @@ import pytest
 
 from rectcover.bench import run_bench, trial_seed
 from rectcover.cliques import SimplicialSearchStats, find_simplicial, max_clique_sweep
-from rectcover.geometry import generate_instance
+from rectcover.geometry import filter_dominated, generate_instance
 from rectcover.graph import build_graph
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import (
@@ -178,3 +178,14 @@ def test_criterion_9_large_instance_smoke():
     line = proc.stdout.strip().split("\n")[1]
     assert line.startswith("10000,1,")
     assert time.perf_counter() - t0 < 600.0
+
+
+def test_criterion_10_kept_count_band():
+    # measured mean kept count after domination at n=1000 is 284 over these
+    # seeds, about 2x sqrt(n)(1 + ln sqrt(n)) = 141
+    n = 1000
+    kept = [
+        len(filter_dominated(generate_instance(n, seed=trial_seed(BENCH_SEED, n, t)))[0])
+        for t in range(10)
+    ]
+    assert 250 <= sum(kept) / len(kept) <= 320, kept

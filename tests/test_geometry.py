@@ -200,6 +200,11 @@ def test_filter_dominated_examples():
     kept, removed = filter_dominated(inst_of([mk(0, 0, 2, 2), mk(1, 1, 3, 3)]))
     assert kept == [0, 1] and removed == []
 
+    # boxes sharing three sides: the larger one goes, whichever side differs
+    for inner in (mk(1, 0, 2, 2), mk(0, 1, 2, 2), mk(0, 0, 1, 2), mk(0, 0, 2, 1)):
+        kept, removed = filter_dominated(inst_of([mk(0, 0, 2, 2), inner]))
+        assert kept == [1] and removed == [0], inner
+
 
 def test_filter_dominated_duplicates_survive():
     # identical rectangles do not dominate each other

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from rectcover.geometry import generate_instance, interiors_intersect
@@ -91,43 +89,35 @@ def test_max_degree_vertex_tie_breaks_low():
     assert g.max_degree_vertex() == 0
 
 
-def test_rect_index_mapping():
-    g = build_graph([mk(0, 0, 1, 1), mk(2, 0, 3, 1)], rect_index=[4, 9])
-    assert g.rect_index(0) == 4
-    assert g.rect_index(1) == 9
-
-
-@pytest.mark.parametrize("method", ["pairwise", "sweep"])
-def test_methods_match_brute_force(method):
+def test_pairwise_matches_brute_force():
     for seed in range(10):
         instance = generate_instance(60, seed=300 + seed)
-        g = build_graph(instance.rects, method=method)
+        g = build_graph(instance.rects)
         for i in range(instance.n):
             for j in range(i + 1, instance.n):
                 expected = interiors_intersect(instance.rects[i], instance.rects[j])
                 assert g.adjacent(i, j) == expected, (seed, i, j)
 
 
-def test_sweep_agrees_with_pairwise():
-    # the two builders must produce identical adjacency on many instances
-    rng = random.Random(77)
-    for trial in range(200):
-        n = rng.randrange(0, 201)
-        instance = generate_instance(n, seed=rng.getrandbits(32))
-        a = build_graph(instance.rects, method="pairwise")
-        b = build_graph(instance.rects, method="sweep")
-        assert a.raw_adjacency() == b.raw_adjacency(), (trial, n, instance.seed)
+def test_rows_past_the_first_row_block():
+    # rows 2048.. fall in a second row block; rows 2047 and 2048 straddle
+    # the boundary and share an edge, so they must not be adjacent
+    rects = list(generate_instance(2100, seed=41).rects)
+    rects[2047] = mk(0.2, 0.2, 0.4, 0.3)
+    rects[2048] = mk(0.4, 0.2, 0.6, 0.3)
+    g = build_graph(rects)
+    assert not g.adjacent(2047, 2048)
+    for i in (0, 1000, 2045, 2046, 2047, 2048, 2049, 2050, 2099):
+        assert g.degree(i) > 0
+        for j in range(len(rects)):
+            if j != i:
+                assert g.adjacent(i, j) == interiors_intersect(rects[i], rects[j]), (i, j)
 
 
 def test_degree_sum_is_twice_edges():
     instance = generate_instance(120, seed=8)
     g = build_graph(instance.rects)
     assert sum(g.degree(v) for v in g.vertices()) == 2 * g.edge_count()
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        build_graph([], method="magic")
 
 
 def test_build_rejects_non_rectangles():

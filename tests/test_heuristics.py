@@ -1,7 +1,7 @@
 import pytest
 
 from rectcover.bench import trial_seed
-from rectcover.geometry import filter_dominated, generate_instance
+from rectcover.geometry import contains, domination_witnesses, filter_dominated, generate_instance
 from rectcover.graph import build_graph
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import exact_mcc, exact_mis, verify_cover, verify_independent
@@ -131,6 +131,28 @@ def test_dominated_rectangles_get_covered():
         assert result.size == 1
         assert result.assignment == (0, 0, 0)
         assert verify_cover(instance.rects, result.points, result.assignment)
+    # box 0 contains the disjoint kept boxes 1 and 2, which get different
+    # points; it takes the point of its lowest-index kept witness, box 1
+    instance = inst_of([mk(0, 0, 10, 4), mk(6, 1, 8, 3), mk(1, 1, 3, 3)])
+    for algo in (gcc, gcc_i):
+        result = algo(instance)
+        assert result.size == 2
+        assert result.assignment[0] == result.assignment[1] != result.assignment[2]
+        assert verify_cover(instance.rects, result.points, result.assignment)
+
+
+def test_dominated_assignment_follows_first_kept_inside():
+    # 1500 boxes leave more than 1024 removed, past the witness kernel's
+    # first row block; the reference is a plain scan of kept in index order
+    instance = generate_instance(1500, seed=trial_seed(41, 1500, 0))
+    kept, removed = filter_dominated(instance)
+    assert len(removed) > 1024
+    rects = instance.rects
+    expected = [next(j for j in kept if contains(rects[i], rects[j])) for i in removed]
+    assert domination_witnesses(instance.rects, kept, removed) == expected
+    for algo in (gcc, gcc_i):
+        assignment = algo(instance).assignment
+        assert [assignment[i] for i in removed] == [assignment[j] for j in expected]
 
 
 def test_duplicates_handled():
