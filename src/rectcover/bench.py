@@ -259,24 +259,18 @@ def verify_random(
         if witness is not None and scan and witness.vertex not in scan:
             violations.append(f"{tag} simplicial witness {witness.vertex} not confirmed by scan")
 
-        cover = gcc_i(instance)
-        ind = mis_greedy(instance)
-        plain = gcc(instance)
-        variant = mis_i(instance)
-        if not verify_cover(instance.rects, cover.points, cover.assignment):
-            violations.append(f"{tag} gcc-i cover invalid")
-        if not verify_cover(instance.rects, plain.points, plain.assignment):
-            violations.append(f"{tag} gcc cover invalid")
-        if not verify_independent(instance.rects, ind.members):
-            violations.append(f"{tag} mis set not independent")
-        if not verify_independent(instance.rects, variant.members):
-            violations.append(f"{tag} mis-i set not independent")
+        records = {name: run_algorithm(name, instance) for name in ALGORITHMS}
+        for name, rec in records.items():
+            if not rec.verified:
+                what = "cover invalid" if name in COVER_ALGOS else "set not independent"
+                violations.append(f"{tag} {name} {what}")
 
         opt_ind, _ = exact_mis(graph, cap=mis_cap)
         opt_cover, _ = exact_mcc(list(instance.rects), cap=mcc_cap)
-        if not (ind.size <= opt_ind <= opt_cover <= cover.size):
+        lo, hi = records["mis"].size, records["gcc-i"].size
+        if not (lo <= opt_ind <= opt_cover <= hi):
             violations.append(
-                f"{tag} sandwich violated: mis {ind.size}, exact independent "
-                f"{opt_ind}, exact cover {opt_cover}, gcc-i {cover.size}"
+                f"{tag} sandwich violated: mis {lo}, exact independent "
+                f"{opt_ind}, exact cover {opt_cover}, gcc-i {hi}"
             )
     return violations

@@ -26,7 +26,7 @@ from .bench import (
 )
 from .geometry import Instance, Region, generate_instance
 from .heuristics import CoverResult
-from .instance_io import InstanceFormatError, load_instance, save_instance
+from .instance_io import InstanceFormatError, dumps_instance, load_instance, save_instance
 from .oracles import DEFAULT_MCC_CAP, DEFAULT_MIS_CAP
 
 __all__ = ["main"]
@@ -47,6 +47,17 @@ def _parse_region(text: str) -> Region:
     if not (x_min < x_max and y_min < y_max):
         raise argparse.ArgumentTypeError(f"region {text!r} is empty")
     return Region(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max)
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a bad literal as "invalid int value"
+    return parse
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -79,12 +90,7 @@ def _fail(message: str, code: int = 2) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     instance = generate_instance(args.n, region=args.region, seed=args.seed)
     if args.out is None:
-        sys.stdout.write(
-            f"n {instance.n}\n"
-            + "".join(
-                f"{r.lo.x!r} {r.lo.y!r} {r.hi.x!r} {r.hi.y!r}\n" for r in instance.rects
-            )
-        )
+        sys.stdout.write(dumps_instance(instance))
     else:
         save_instance(instance, args.out)
     return 0
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a random instance file")
-    gen.add_argument("--n", type=int, required=True, help="number of rectangles")
+    gen.add_argument("--n", type=_at_least(0), required=True, help="number of rectangles")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument(
         "--region",
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one algorithm on one instance")
     solve.add_argument("--algo", choices=sorted(ALGORITHMS), required=True)
     solve.add_argument("--file", type=Path, default=None, help="instance file to read")
-    solve.add_argument("--n", type=int, default=None, help="generate an instance of this size")
+    solve.add_argument("--n", type=_at_least(0), default=None, help="generate an instance of this size")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument(
         "--region", type=_parse_region, default=Region(0.0, 1.0, 0.0, 1.0)
@@ -240,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="sweep sizes and write a CSV of mean sizes")
     bench.add_argument("--n-list", type=_parse_n_list, default=[500, 1000, 5000])
-    bench.add_argument("--trials", type=int, default=20)
+    bench.add_argument("--trials", type=_at_least(1), default=20)
     bench.add_argument("--seed", type=int, default=1, help="base seed for the sweep")
     bench.add_argument(
         "--algos", type=_parse_algos, default=["gcc", "gcc-i", "mis", "mis-i"]
@@ -272,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     verify = sub.add_parser("verify", help="cross-check against exact solvers")
-    verify.add_argument("--count", type=int, default=5, help="number of random instances")
-    verify.add_argument("--n", type=int, default=12)
+    verify.add_argument("--count", type=_at_least(0), default=5, help="number of random instances")
+    verify.add_argument("--n", type=_at_least(0), default=12)
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--mis-cap", type=int, default=DEFAULT_MIS_CAP)
     verify.add_argument("--mcc-cap", type=int, default=DEFAULT_MCC_CAP)

@@ -143,52 +143,47 @@ def find_simplicial(
     na = alive.bit_count()
 
     order = bit_indices(alive)
-    degs = {}
-    for v in order:
-        degs[v] = (rows[v] & alive).bit_count()
-    order.sort(key=lambda v: (degs[v], v))
-    if stats is not None:
-        stats.entry_accesses += na * na  # one degree pass over the live matrix
+    order.sort(key=lambda v: ((rows[v] & alive).bit_count(), v))
+    accesses = na * na  # one degree pass over the live matrix
 
     marked = 0
+    witness = None
     for v in order:
         if (marked >> v) & 1:
             continue
         closed = (rows[v] & alive) | (1 << v)
         members = bit_indices(closed)
-        if stats is not None:
-            stats.entry_accesses += na
         clique = True
+        checked = 0
         for a in members:
-            if stats is not None:
-                stats.entry_accesses += na
+            checked += 1
             if closed & ~(rows[a] | (1 << a)):
                 clique = False
                 break
+        accesses += na * (1 + checked)  # the closed row, then each row checked
         if clique:
-            if stats is not None:
-                stats.marked_mask = marked
             box = common_intersection([rects[i] for i in members])
             if box is None:
                 raise AssertionError(f"clique neighborhood of {v} has no common interior")
-            return SimplicialWitness(v, tuple(members), box.center())
+            witness = SimplicialWitness(v, tuple(members), box.center())
+            break
 
+        k = len(members)
+        accesses += k * (k - 1) // 2  # one entry test per pair
         marked |= closed
         for idx, a in enumerate(members):
             row_a = rows[a]
             for b in members[idx + 1 :]:
-                if stats is not None:
-                    stats.entry_accesses += 1
                 if not (row_a >> b) & 1:
                     marked |= row_a & rows[b] & alive
-                    if stats is not None:
-                        stats.entry_accesses += 2 * na
+                    accesses += 2 * na
         if not (alive & ~marked):
             break
 
     if stats is not None:
+        stats.entry_accesses += accesses
         stats.marked_mask = marked
-    return None
+    return witness
 
 
 def is_clique(g: IntersectionGraph, vertices) -> bool:

@@ -204,37 +204,36 @@ def _bounds_arrays(rects):
     return lx, ly, hx, hy
 
 
-def _contained_rows(outer, inner, reduce) -> np.ndarray:
-    """Reduce each row of the closed-containment matrix of outer by inner boxes.
+def _containment_blocks(outer, inner):
+    """Yield the closed-containment matrix of inner by outer boxes in row blocks.
 
     ``outer`` and ``inner`` are ``(lx, ly, hx, hy)`` array tuples. Entry
-    ``[a, b]`` of the matrix is True when inner box ``b`` lies inside the
-    closed outer box ``a`` and is not identical to it. The matrix is built
-    1024 rows at a time, and ``reduce`` maps each block to one value per row.
+    ``[b, a]`` is True when inner box ``b`` lies inside the closed outer box
+    ``a`` and is not identical to it. Each item is ``(start, block)``: rows
+    ``start`` onwards, at most 1024, each spanning all outer boxes. The next
+    block overwrites it.
     """
-    ilx, ily, ihx, ihy = inner
-    n_outer = len(outer[0])
+    olx, oly, ohx, ohy = outer
+    n_inner = len(inner[0])
     block_rows = 1024
     # Every block reuses three buffers: a fresh temporary per comparison
     # costs page faults, four times as many on clustered boxes.
-    shape = (min(block_rows, n_outer), len(ilx))
+    shape = (min(block_rows, n_inner), len(olx))
     inside, differs, tmp = (np.empty(shape, dtype=bool) for _ in range(3))
-    parts = []
-    for start in range(0, n_outer, block_rows):
-        lx, ly, hx, hy = (a[start:start + block_rows, None] for a in outer)
+    for start in range(0, n_inner, block_rows):
+        lx, ly, hx, hy = (a[start:start + block_rows, None] for a in inner)
         m = len(lx)
         ins, dif, t = inside[:m], differs[:m], tmp[:m]
-        np.greater_equal(ilx, lx, out=ins)
-        ins &= np.less_equal(ihx, hx, out=t)
-        ins &= np.greater_equal(ily, ly, out=t)
-        ins &= np.less_equal(ihy, hy, out=t)
-        np.not_equal(ilx, lx, out=dif)
-        dif |= np.not_equal(ihx, hx, out=t)
-        dif |= np.not_equal(ily, ly, out=t)
-        dif |= np.not_equal(ihy, hy, out=t)
+        np.greater_equal(lx, olx, out=ins)
+        ins &= np.less_equal(hx, ohx, out=t)
+        ins &= np.greater_equal(ly, oly, out=t)
+        ins &= np.less_equal(hy, ohy, out=t)
+        np.not_equal(lx, olx, out=dif)
+        dif |= np.not_equal(hx, ohx, out=t)
+        dif |= np.not_equal(ly, oly, out=t)
+        dif |= np.not_equal(hy, ohy, out=t)
         ins &= dif
-        parts.append(reduce(ins))
-    return np.concatenate(parts)
+        yield start, ins
 
 
 def filter_dominated(instance) -> tuple[list[int], list[int]]:
@@ -253,7 +252,9 @@ def filter_dominated(instance) -> tuple[list[int], list[int]]:
         return list(range(n)), []
 
     bounds = _bounds_arrays(rects)
-    dominated = _contained_rows(bounds, bounds, lambda block: block.any(axis=1))
+    dominated = np.zeros(n, dtype=bool)
+    for _, block in _containment_blocks(bounds, bounds):
+        dominated |= block.any(axis=0)
     kept = [int(i) for i in np.flatnonzero(~dominated)]
     removed = [int(i) for i in np.flatnonzero(dominated)]
     return kept, removed
@@ -272,7 +273,10 @@ def domination_witnesses(rects, kept, removed) -> list[int]:
     bounds = _bounds_arrays(rects)
     outer = tuple(a[removed] for a in bounds)
     inner = tuple(a[kept] for a in bounds)
-    first = _contained_rows(outer, inner, lambda block: block.argmax(axis=1))
+    first = np.full(len(removed), -1)
+    for start, block in _containment_blocks(outer, inner):
+        new = (first < 0) & block.any(axis=0)
+        first[new] = block[:, new].argmax(axis=0) + start
     return [kept[j] for j in first]
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Rectangle
+from .geometry import Rectangle, _bounds_arrays
 
 __all__ = ["IntersectionGraph", "build_graph", "bit_indices"]
 
@@ -49,11 +49,6 @@ class IntersectionGraph:
         return self._alive.bit_count()
 
     @property
-    def n_base(self) -> int:
-        """Number of vertices in the originally built graph."""
-        return len(self._rows)
-
-    @property
     def alive_mask(self) -> int:
         return self._alive
 
@@ -79,10 +74,6 @@ class IntersectionGraph:
     def degree(self, v: int) -> int:
         self._check_live(v)
         return (self._rows[v] & self._alive).bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        self._check_live(v)
-        return bit_indices(self._rows[v] & self._alive)
 
     def closed_neighborhood(self, v: int) -> set[int]:
         """The vertex itself together with all its live neighbors."""
@@ -152,10 +143,7 @@ def _build_rows_pairwise(rects) -> list[int]:
     n = len(rects)
     if n == 0:
         return []
-    lx = np.fromiter((r.lo.x for r in rects), dtype=float, count=n)
-    ly = np.fromiter((r.lo.y for r in rects), dtype=float, count=n)
-    hx = np.fromiter((r.hi.x for r in rects), dtype=float, count=n)
-    hy = np.fromiter((r.hi.y for r in rects), dtype=float, count=n)
+    lx, ly, hx, hy = _bounds_arrays(rects)
     rows: list[int] = []
     block = 2048
     for start in range(0, n, block):

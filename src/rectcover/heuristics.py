@@ -1,19 +1,17 @@
 """The four greedy heuristics for piercing covers and independent sets.
 
-Every heuristic first discards dominated rectangles (a rectangle containing
-another one) and works on the rest; a dominated rectangle is stabbed for
-free by any point interior to a rectangle it contains, and it can never be
-part of an independent set. Cover results are reported over the full
-instance: each dominated rectangle gets the point of its domination
-witness, the lowest-index kept rectangle inside it.
-
-The two cover heuristics differ in one step: the plain one repeatedly stabs
-and deletes a maximum clique, while the refined one first looks for a
-simplicial vertex and stabs its whole closed neighborhood, falling back to
-the maximum clique only when no simplicial vertex exists. The independent
-set heuristics both collect simplicial vertices; when none exists one
-deletes the single maximum-degree vertex, the other deletes an entire
-maximum clique.
+All four run one peeling loop. It discards dominated rectangles (a
+rectangle containing another one is stabbed for free by any point interior
+to a rectangle it contains, and can never join an independent set), builds
+the intersection graph of the rest, and deletes vertices round by round. A
+round deletes the closed neighborhood of a simplicial vertex, if the
+heuristic looks for one and one exists, and otherwise takes the heuristic's
+stuck step: ``gcc`` never looks and deletes a maximum clique every round,
+``gcc_i`` falls back to one, ``mis_greedy`` deletes the maximum-degree
+vertex and ``mis_i`` a whole maximum clique. A cover takes one point per
+round, an independent set the simplicial vertices. Each dominated rectangle
+in a cover gets the point of its domination witness, the lowest-index kept
+rectangle inside it.
 """
 
 from __future__ import annotations
@@ -63,44 +61,70 @@ class IndependentSetResult:
         return len(self.members)
 
 
-def _prepare(instance: Instance):
+def _max_clique(graph, rects):
+    """Stuck step: the live vertices of a maximum clique and its stab point."""
+    vs = graph.vertices()
+    witness = max_clique_sweep([rects[v] for v in vs])
+    return tuple(vs[local] for local in witness.members), witness.stab
+
+
+def _max_degree(graph, rects):
+    """Stuck step: the single maximum-degree live vertex, with no stab point."""
+    return (graph.max_degree_vertex(),), None
+
+
+def _peel(instance: Instance, simplicial: bool, stuck):
+    """Peel the kept rectangles' graph; one ``(vertex, members, stab)`` per round.
+
+    A round deletes a simplicial vertex's closed neighborhood if
+    ``simplicial`` is set and one exists, else what ``stuck(graph, rects)``
+    returns, with ``vertex`` None. Vertex ids index ``kept``.
+    """
     kept, removed = filter_dominated(instance)
     rects = [instance.rects[i] for i in kept]
-    return kept, removed, rects
+    graph = build_graph(rects)
+    rounds = []
+    while graph.n:
+        witness = find_simplicial(graph, rects) if simplicial else None
+        if witness is not None:
+            step = (witness.vertex, witness.neighborhood, witness.stab)
+        else:
+            step = (None, *stuck(graph, rects))
+        rounds.append(step)
+        graph = graph.remove_vertices(step[1])
+    return kept, removed, rounds
 
 
-def _cover_result(instance, assign, points, theta, phi, iterations, t0) -> CoverResult:
-    assignment = tuple(assign[i] for i in range(instance.n))
+def _cover(instance: Instance, simplicial: bool) -> CoverResult:
+    t0 = time.perf_counter()
+    kept, removed, rounds = _peel(instance, simplicial, _max_clique)
+    assignment = [0] * instance.n
+    for pid, (_, members, _) in enumerate(rounds):
+        for v in members:
+            assignment[kept[v]] = pid
+    for i, w in zip(removed, domination_witnesses(instance.rects, kept, removed)):
+        assignment[i] = assignment[w]
+    theta = sum(vertex is not None for vertex, _, _ in rounds)
     return CoverResult(
-        points=tuple(points),
-        assignment=assignment,
+        points=tuple(stab for _, _, stab in rounds),
+        assignment=tuple(assignment),
         theta_count=theta,
-        phi_count=phi,
-        iterations=iterations,
+        phi_count=len(rounds) - theta,
+        iterations=len(rounds),
         elapsed=time.perf_counter() - t0,
     )
 
 
+def _independent(instance: Instance, stuck) -> IndependentSetResult:
+    t0 = time.perf_counter()
+    kept, _, rounds = _peel(instance, True, stuck)
+    chosen = sorted(kept[vertex] for vertex, _, _ in rounds if vertex is not None)
+    return IndependentSetResult(tuple(chosen), time.perf_counter() - t0)
+
+
 def gcc(instance: Instance) -> CoverResult:
     """Greedy clique cover: repeatedly stab and delete a maximum clique."""
-    t0 = time.perf_counter()
-    kept, removed, rects = _prepare(instance)
-    points: list[Point] = []
-    assign: dict[int, int] = {}
-    alive = list(range(len(rects)))
-    iterations = 0
-    while alive:
-        witness = max_clique_sweep([rects[v] for v in alive])
-        pid = len(points)
-        points.append(witness.stab)
-        hit = set(witness.members)
-        for local in witness.members:
-            assign[kept[alive[local]]] = pid
-        alive = [v for idx, v in enumerate(alive) if idx not in hit]
-        iterations += 1
-    for i, w in zip(removed, domination_witnesses(instance.rects, kept, removed)):
-        assign[i] = assign[w]
-    return _cover_result(instance, assign, points, 0, len(points), iterations, t0)
+    return _cover(instance, simplicial=False)
 
 
 def gcc_i(instance: Instance) -> CoverResult:
@@ -110,35 +134,7 @@ def gcc_i(instance: Instance) -> CoverResult:
     neighborhood with the center of the common intersection, or falls back
     to extracting a maximum clique as in the plain greedy cover.
     """
-    t0 = time.perf_counter()
-    kept, removed, rects = _prepare(instance)
-    graph = build_graph(rects)
-    points: list[Point] = []
-    assign: dict[int, int] = {}
-    theta = 0
-    phi = 0
-    iterations = 0
-    while graph.n:
-        witness = find_simplicial(graph, rects)
-        if witness is not None:
-            members = witness.neighborhood
-            stab = witness.stab
-            theta += 1
-        else:
-            vs = graph.vertices()
-            cw = max_clique_sweep([rects[v] for v in vs])
-            members = tuple(vs[local] for local in cw.members)
-            stab = cw.stab
-            phi += 1
-        pid = len(points)
-        points.append(stab)
-        for v in members:
-            assign[kept[v]] = pid
-        graph = graph.remove_vertices(members)
-        iterations += 1
-    for i, w in zip(removed, domination_witnesses(instance.rects, kept, removed)):
-        assign[i] = assign[w]
-    return _cover_result(instance, assign, points, theta, phi, iterations, t0)
+    return _cover(instance, simplicial=True)
 
 
 def mis_greedy(instance: Instance) -> IndependentSetResult:
@@ -149,18 +145,7 @@ def mis_greedy(instance: Instance) -> IndependentSetResult:
     of the residual graph is deleted (ties to the lowest id), since losing a
     crowded rectangle is most likely to create a simplicial one.
     """
-    t0 = time.perf_counter()
-    kept, _, rects = _prepare(instance)
-    graph = build_graph(rects)
-    chosen: list[int] = []
-    while graph.n:
-        witness = find_simplicial(graph, rects)
-        if witness is not None:
-            chosen.append(kept[witness.vertex])
-            graph = graph.remove_vertices(witness.neighborhood)
-        else:
-            graph = graph.remove_vertices((graph.max_degree_vertex(),))
-    return IndependentSetResult(tuple(sorted(chosen)), time.perf_counter() - t0)
+    return _independent(instance, _max_degree)
 
 
 def mis_i(instance: Instance) -> IndependentSetResult:
@@ -169,17 +154,4 @@ def mis_i(instance: Instance) -> IndependentSetResult:
     Identical to the greedy independent set except that, when no simplicial
     vertex exists, all members of a maximum clique are deleted at once.
     """
-    t0 = time.perf_counter()
-    kept, _, rects = _prepare(instance)
-    graph = build_graph(rects)
-    chosen: list[int] = []
-    while graph.n:
-        witness = find_simplicial(graph, rects)
-        if witness is not None:
-            chosen.append(kept[witness.vertex])
-            graph = graph.remove_vertices(witness.neighborhood)
-        else:
-            vs = graph.vertices()
-            cw = max_clique_sweep([rects[v] for v in vs])
-            graph = graph.remove_vertices(tuple(vs[local] for local in cw.members))
-    return IndependentSetResult(tuple(sorted(chosen)), time.perf_counter() - t0)
+    return _independent(instance, _max_clique)

@@ -225,3 +225,22 @@ def test_verify_inject_fault():
 def test_verify_size_capped():
     proc = run_cli("verify", "--count", 1, "--n", 19)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("gen", "--n", -3),
+        ("solve", "--algo", "gcc", "--n", -3),
+        ("verify", "--n", -3),
+        ("verify", "--count", -1),
+        ("bench", "--trials", 0),
+    ],
+    ids=["gen-n", "solve-n", "verify-n", "verify-count", "bench-trials"],
+)
+def test_bad_counts_are_usage_errors(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr

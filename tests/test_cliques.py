@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rectcover.bench import trial_seed
 from rectcover.cliques import (
     SimplicialSearchStats,
     find_simplicial,
@@ -173,6 +174,41 @@ def test_simplicial_access_budget():
                     g = g.remove_vertices(w.neighborhood)
                 else:
                     g = g.remove_vertices([g.max_degree_vertex()])
+
+
+def _peel_stats(rects):
+    # (entry_accesses, marked_mask, vertex found) of every search in a
+    # full deletion loop that drops the maximum-degree vertex when stuck
+    g = build_graph(rects)
+    out = []
+    while g.n:
+        stats = SimplicialSearchStats()
+        w = find_simplicial(g, rects, stats=stats)
+        out.append((stats.entry_accesses, stats.marked_mask, None if w is None else w.vertex))
+        g = g.remove_vertices(w.neighborhood if w is not None else [g.max_degree_vertex()])
+    return out
+
+
+def test_simplicial_counters_pinned(frame4):
+    # values of the search as it counted before the counters were kept in
+    # one local; the 40-box instance has failed candidates in four searches
+    assert _peel_stats(frame4) == [(39, 15, None), (18, 0, 2), (3, 0, 3)]
+    rects = list(generate_instance(40, seed=trial_seed(12, 40, 1)).rects)
+    assert _peel_stats(rects) == [
+        (1800, 0, 8),
+        (1512, 0, 9),
+        (1209, 0, 2),
+        (795, 413931671552, 6),
+        (480, 0, 4),
+        (340, 0, 22),
+        (285, 0, 16),
+        (255, 60264816642, 19),
+        (80, 0, 28),
+        (115, 34360795138, 21),
+        (39, 34360795138, None),
+        (18, 0, 13),
+        (3, 0, 20),
+    ]
 
 
 # ------------------------------------------------------------------ cliques

@@ -12,6 +12,7 @@ from rectcover.geometry import (
     Region,
     common_intersection,
     contains,
+    domination_witnesses,
     filter_dominated,
     generate_instance,
     interiors_intersect,
@@ -240,3 +241,34 @@ def test_filter_dominated_matches_naive():
 
 def test_filter_dominated_empty():
     assert filter_dominated(inst_of([])) == ([], [])
+
+
+def test_containment_blocks_cross_the_row_block_boundary():
+    # 1100 disjoint unit cells, so the kernel's 1024-row blocks of inner
+    # boxes split them; cell c is box c + 1 and kept rectangle number c
+    cells = [mk(2 * c, 0, 2 * c + 1, 1) for c in range(1100)]
+
+    def around(first, last):  # a box holding cells first..last
+        return mk(2 * first - 0.5, -0.5, 2 * last + 1.5, 1.5)
+
+    rects = (
+        [around(3, 4)]
+        + cells
+        + [
+            around(1030, 1032),  # cells past the boundary only
+            around(1020, 1030),  # cells on both sides
+            around(1024, 1026),  # starting at the first cell of the second block
+            around(1028, 1040),  # also holds the removed box around 1030..1032
+            around(0, 1099),  # every cell
+        ]
+    )
+    kept, removed = filter_dominated(rects)
+    n = len(rects)
+    expected_removed = [
+        i for i in range(n) if any(contains(rects[i], rects[j]) for j in range(n))
+    ]
+    assert removed == expected_removed == [0] + list(range(1101, 1106))
+    assert kept == [i for i in range(n) if i not in set(removed)]
+    expected = [next(j for j in kept if contains(rects[i], rects[j])) for i in removed]
+    assert domination_witnesses(rects, kept, removed) == expected
+    assert expected == [4, 1031, 1021, 1025, 1029, 1]

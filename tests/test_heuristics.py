@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 
 from rectcover.bench import trial_seed
 from rectcover.geometry import contains, domination_witnesses, filter_dominated, generate_instance
 from rectcover.graph import build_graph
-from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
+from rectcover.heuristics import CoverResult, gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import exact_mcc, exact_mis, verify_cover, verify_independent
 
 from conftest import inst_of, mk
@@ -182,6 +184,63 @@ def test_frozen_sizes_on_reference_instance():
     assert gcc_i(instance).size == 20
     assert mis_greedy(instance).size == 20
     assert mis_i(instance).size == 17
+
+
+# Outputs pinned from the per-heuristic loops the shared peeling loop
+# replaced: size, theta, phi and iterations for covers, plus the first 16
+# hex digits of a sha256 of repr((points, assignment)) or repr(members).
+PINNED = {
+    "frame4": {
+        gcc: (2, 0, 2, 2, "17b6c82cba86bbf5"),
+        gcc_i: (2, 1, 1, 2, "17b6c82cba86bbf5"),
+        mis_greedy: (2, "dc4307c0856536f8"),
+        mis_i: (1, "28cb03b06c288e88"),
+    },
+    0: {
+        gcc: (41, 0, 41, 41, "f306f2ed73ad7e24"),
+        gcc_i: (38, 36, 2, 38, "1afd2f19b46939a3"),
+        mis_greedy: (38, "1dfe5464b2940777"),
+        mis_i: (36, "475aed425a87910a"),
+    },
+    1: {
+        gcc: (36, 0, 36, 36, "e2925948c183ef74"),
+        gcc_i: (37, 28, 9, 37, "483bcb98f659eb59"),
+        mis_greedy: (33, "8216e1ba33a68bac"),
+        mis_i: (28, "0c8e46ea061d79ec"),
+    },
+    2: {
+        gcc: (41, 0, 41, 41, "575541350e8314f4"),
+        gcc_i: (35, 29, 6, 35, "b2a4f7422bd602c4"),
+        mis_greedy: (33, "e5d48ecca3d604ad"),
+        mis_i: (29, "de4531d24763441d"),
+    },
+    3: {
+        gcc: (39, 0, 39, 39, "ac5179f2b54d016c"),
+        gcc_i: (36, 32, 4, 36, "c33fc31f8998a50d"),
+        mis_greedy: (35, "3883470b942ac25a"),
+        mis_i: (32, "4bc3707d3e433c5c"),
+    },
+}
+
+
+def _digest(result):
+    if isinstance(result, CoverResult):
+        body = repr((result.points, result.assignment))
+        head = (result.size, result.theta_count, result.phi_count, result.iterations)
+    else:
+        body = repr(result.members)
+        head = (result.size,)
+    return (*head, hashlib.sha256(body.encode()).hexdigest()[:16])
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_pinned_outputs(case, frame4):
+    if case == "frame4":
+        instance = inst_of(frame4)
+    else:
+        instance = generate_instance(300, seed=trial_seed(11, 300, case))
+    for algo, expected in PINNED[case].items():
+        assert _digest(algo(instance)) == expected, algo.__name__
 
 
 # ----------------------------------------------------------------- optima
