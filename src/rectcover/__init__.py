@@ -32,6 +32,7 @@ from .geometry import (
     Point,
     Rectangle,
     Region,
+    UnstabbableOverlapError,
     common_intersection,
     contains,
     filter_dominated,
@@ -78,6 +79,7 @@ __all__ = [
     "SimplicialSearchStats",
     "SimplicialWitness",
     "UNIT_SQUARE",
+    "UnstabbableOverlapError",
     "VerificationError",
     "build_graph",
     "common_intersection",

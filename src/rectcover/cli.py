@@ -24,7 +24,7 @@ from .bench import (
     run_bench,
     verify_random,
 )
-from .geometry import Instance, Region, generate_instance
+from .geometry import Instance, Region, UnstabbableOverlapError, generate_instance
 from .heuristics import CoverResult
 from .instance_io import InstanceFormatError, dumps_instance, load_instance, save_instance
 from .oracles import DEFAULT_MCC_CAP, DEFAULT_MIS_CAP
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
+    except (InstanceFormatError, UnstabbableOverlapError) as exc:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(str(exc))

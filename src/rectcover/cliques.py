@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Point, common_intersection
+from .geometry import Point, UnstabbableOverlapError, common_intersection
 from .graph import IntersectionGraph, bit_indices
 from .segtree import MaxAddSegmentTree
 
@@ -49,9 +49,11 @@ class SimplicialWitness:
 class SimplicialSearchStats:
     """Diagnostics from one simplicial search call.
 
-    ``entry_accesses`` counts adjacency-matrix entry touches: one per single
-    entry test, one per entry of a whole-row operation. ``marked_mask`` is
-    the bitset of vertices ruled out during the search.
+    ``entry_accesses`` counts adjacency-matrix entry touches of the search
+    as specified, whatever the graph keeps precomputed: one pass over the
+    live matrix for the degrees, then one per single entry test and one per
+    entry of a whole-row operation. ``marked_mask`` is the bitset of
+    vertices ruled out during the search.
     """
 
     entry_accesses: int = 0
@@ -67,8 +69,13 @@ def max_clique_sweep(rects) -> CliqueWitness:
     range-max tree; after each batch of equal-y events the tree's global
     maximum gives the deepest cell for the y-gap below. The reported stab
     point is the midpoint of the winning elementary cell, so it is interior
-    to every member. Ties keep the first maximum in sweep order (decreasing
-    y, then increasing x).
+    to every member; where the cell is one ulp wide it is a cell corner no
+    member starts or ends at. Ties keep the first maximum in sweep order
+    (decreasing y, then increasing x).
+
+    Raises:
+        UnstabbableOverlapError: if the winning cell is one ulp wide and both
+            of its corners lie on a member's boundary.
     """
     rects = list(rects)
     if not rects:
@@ -106,15 +113,31 @@ def max_clique_sweep(rects) -> CliqueWitness:
             best_gap = (-events[i][0], -neg_y)  # (lower y, upper y)
 
     stab = Point(
-        (xs[best_cell] + xs[best_cell + 1]) / 2.0,
-        (best_gap[0] + best_gap[1]) / 2.0,
+        _inside(xs[best_cell], xs[best_cell + 1], (r.lo.x for r in rects)),
+        _inside(best_gap[0], best_gap[1], (r.lo.y for r in rects)),
     )
     members = tuple(i for i, r in enumerate(rects) if r.contains_point_open(stab))
     if len(members) != best_depth:
-        raise AssertionError(
+        raise UnstabbableOverlapError(
             f"sweep depth {best_depth} disagrees with {len(members)} members at {stab}"
         )
     return CliqueWitness(members, stab)
+
+
+def _inside(a: float, b: float, lows) -> float:
+    """A coordinate inside every box spanning the cell ``[a, b]``, and no other.
+
+    ``a`` and ``b`` are consecutive box coordinates on one axis, and
+    ``lows`` iterates the boxes' lower coordinates. The midpoint serves
+    unless ``a`` and ``b`` are adjacent doubles; only then is ``lows`` read.
+    ``a`` serves if no box starts at it, and otherwise ``b``, which no box
+    ends at unless a box starts one ulp below where another ends, the case
+    ``build_graph`` rejects.
+    """
+    mid = (a + b) / 2.0
+    if a < mid < b:
+        return mid
+    return b if a in lows else a
 
 
 def find_simplicial(
@@ -122,15 +145,21 @@ def find_simplicial(
     rects,
     stats: SimplicialSearchStats | None = None,
 ) -> SimplicialWitness | None:
-    """Find a live vertex whose closed neighborhood is a clique, or None.
+    """The simplicial live vertex of least (degree, id), or None if none is.
 
+    A vertex is simplicial when its closed neighborhood is a clique.
     Vertices are visited in increasing order of current degree (ties to the
-    lowest id), skipping marked ones. When a candidate v fails, nothing in
-    its closed neighborhood can be simplicial, so all of it is marked; and
-    for every non-adjacent pair a, b in that neighborhood, every common
-    neighbor of a and b is marked as well, since its neighborhood contains
-    the non-adjacent pair. Each non-adjacent pair is processed at most once
-    per call, which keeps the total matrix work quadratic.
+    lowest id), skipping marked ones, and the first simplicial one is
+    returned. When a candidate v fails, nothing in its closed neighborhood
+    can be simplicial, so all of it is marked; and for every non-adjacent
+    pair a, b in that neighborhood, every common neighbor of a and b is
+    marked as well, since its neighborhood contains the non-adjacent pair.
+    Marking never skips the answer. A simplicial neighbor u of the failed v
+    has a clique for its closed neighborhood, so that neighborhood lies
+    inside v's, and is smaller, since v is not simplicial. So u has
+    strictly smaller degree than v, was visited earlier and would have been
+    returned. Each non-adjacent pair is processed at most once per call,
+    which keeps the total matrix work quadratic.
 
     ``rects`` must be indexed by vertex id of the base graph. The witness
     stab point is the center of the common intersection of the neighborhood,
@@ -142,8 +171,7 @@ def find_simplicial(
     rows = g.raw_adjacency()
     na = alive.bit_count()
 
-    order = bit_indices(alive)
-    order.sort(key=lambda v: ((rows[v] & alive).bit_count(), v))
+    order = g.vertices_by_degree()
     accesses = na * na  # one degree pass over the live matrix
 
     marked = 0
@@ -164,7 +192,7 @@ def find_simplicial(
         if clique:
             box = common_intersection([rects[i] for i in members])
             if box is None:
-                raise AssertionError(f"clique neighborhood of {v} has no common interior")
+                raise UnstabbableOverlapError(f"clique neighborhood of {v} has no common interior")
             witness = SimplicialWitness(v, tuple(members), box.center())
             break
 

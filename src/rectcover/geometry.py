@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "DegenerateRectangleError",
+    "UnstabbableOverlapError",
     "Point",
     "Rectangle",
     "Region",
@@ -33,6 +34,15 @@ __all__ = [
 
 class DegenerateRectangleError(ValueError):
     """Corner points sharing an x or y coordinate span no proper rectangle."""
+
+
+class UnstabbableOverlapError(ValueError):
+    """A lower coordinate lies one ulp below an upper one on the same axis.
+
+    No double lies strictly between the two, so an overlap or a rectangle
+    spanning just that gap has no point a cover could place. Solvers reject
+    such rectangle sets instead of returning an invalid stab point.
+    """
 
 
 @dataclass(frozen=True)
@@ -202,6 +212,25 @@ def _bounds_arrays(rects):
     hx = np.fromiter((r.hi.x for r in rects), dtype=float, count=n)
     hy = np.fromiter((r.hi.y for r in rects), dtype=float, count=n)
     return lx, ly, hx, hy
+
+
+def _check_stabbable(bounds) -> None:
+    """Raise UnstabbableOverlapError if some lo is one ulp below some hi.
+
+    ``bounds`` is the ``(lx, ly, hx, hy)`` array tuple of the rectangles.
+    """
+    lx, ly, hx, hy = bounds
+    for axis, lo, hi in (("x", lx, hx), ("y", ly, hy)):
+        # a set, not np.isin or a numpy sort: their first call maps 0.6-1.6
+        # MB more of numpy's code and work buffers, which shows in peak RSS
+        shared = set(hi.tolist()).intersection(np.nextafter(lo, np.inf).tolist())
+        if shared:
+            upper = min(shared)
+            raise UnstabbableOverlapError(
+                f"no double lies strictly between lower {axis} "
+                f"{math.nextafter(upper, -math.inf)!r} and upper {axis} {upper!r}, "
+                f"so their overlap cannot be stabbed"
+            )
 
 
 def _containment_blocks(outer, inner):

@@ -2,22 +2,28 @@
 
 Adjacency rows are Python integers used as bitsets: bit ``j`` of row ``i``
 says rectangles ``i`` and ``j`` have open interiors that intersect. The
-diagonal is always clear. Vertex deletion is a logical mask: removing
-vertices produces a new view sharing the adjacency rows, with degrees
-recomputed on demand against the view's live-vertex mask. Vertex ids always
+diagonal is always clear. The same matrix is also kept packed in numpy, one
+``uint8`` row of ceil(k/8) bytes per vertex. Vertex deletion is a logical
+mask: removing vertices produces a new view sharing both forms of the
+adjacency, with its own array of live degrees. Degrees are maintained on
+deletion, not recomputed on demand: the new view subtracts the column sums
+of the removed rows, so every whole-live-set query (vertex list, degree
+order, maximum degree, edge count) reads numpy arrays. Vertex ids always
 refer to the originally built graph, so a rectangle keeps its id across
 deletions.
 
 The graph is built by one quadratic pairwise test, vectorized with numpy.
 On the kept sets the heuristics build graphs for, it is faster than a plane
 sweep over candidate pairs; the sweep wins only on nearly edge-free inputs.
+``build_graph`` rejects rectangles no point can stab correctly (see
+``UnstabbableOverlapError``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Rectangle, _bounds_arrays
+from .geometry import Rectangle, _bounds_arrays, _check_stabbable
 
 __all__ = ["IntersectionGraph", "build_graph", "bit_indices"]
 
@@ -33,12 +39,19 @@ def bit_indices(mask: int) -> list[int]:
 
 
 class IntersectionGraph:
-    """Immutable view of an intersection graph, possibly with vertices removed."""
+    """Immutable view of an intersection graph, possibly with vertices removed.
 
-    __slots__ = ("_rows", "_alive")
+    Views are made by ``build_graph`` and ``remove_vertices``. ``degrees``
+    holds each live vertex's number of live neighbors, and a negative number
+    for each dead vertex.
+    """
 
-    def __init__(self, rows: list[int], alive: int):
+    __slots__ = ("_rows", "_packed", "_degrees", "_alive")
+
+    def __init__(self, rows: list[int], packed: np.ndarray, degrees: np.ndarray, alive: int):
         self._rows = rows
+        self._packed = packed
+        self._degrees = degrees
         self._alive = alive
 
     # -- basic queries -------------------------------------------------
@@ -57,7 +70,12 @@ class IntersectionGraph:
         return self._rows
 
     def vertices(self) -> list[int]:
-        return bit_indices(self._alive)
+        return np.flatnonzero(self._degrees >= 0).tolist()
+
+    def vertices_by_degree(self) -> list[int]:
+        """Live vertices in increasing order of degree, ties to the lowest id."""
+        live = np.flatnonzero(self._degrees >= 0)
+        return live[np.argsort(self._degrees[live], kind="stable")].tolist()
 
     def is_live(self, v: int) -> bool:
         return 0 <= v < len(self._rows) and (self._alive >> v) & 1 == 1
@@ -73,7 +91,7 @@ class IntersectionGraph:
 
     def degree(self, v: int) -> int:
         self._check_live(v)
-        return (self._rows[v] & self._alive).bit_count()
+        return int(self._degrees[v])
 
     def closed_neighborhood(self, v: int) -> set[int]:
         """The vertex itself together with all its live neighbors."""
@@ -86,20 +104,13 @@ class IntersectionGraph:
 
     def max_degree_vertex(self) -> int | None:
         """Live vertex of maximum degree; ties go to the lowest id."""
-        best_v = None
-        best_d = -1
-        for v in self.vertices():
-            d = (self._rows[v] & self._alive).bit_count()
-            if d > best_d:
-                best_v, best_d = v, d
-        return best_v
+        if not self._alive:
+            return None
+        return int(self._degrees.argmax())  # dead vertices hold negative degrees
 
     def edge_count(self) -> int:
-        alive = self._alive
-        total = 0
-        for v in bit_indices(alive):
-            total += (self._rows[v] & alive).bit_count()
-        return total // 2
+        degrees = self._degrees
+        return int(degrees[degrees > 0].sum()) // 2
 
     def edges(self):
         """Yield live edges as (u, v) pairs with u < v."""
@@ -119,7 +130,13 @@ class IntersectionGraph:
         if mask & ~self._alive:
             dead = bit_indices(mask & ~self._alive)
             raise ValueError(f"cannot remove vertices not in the graph: {dead}")
-        return IntersectionGraph(self._rows, self._alive & ~mask)
+        gone = bit_indices(mask)
+        lost = np.unpackbits(
+            self._packed[gone], axis=1, count=len(self._rows), bitorder="little"
+        ).sum(axis=0, dtype=self._degrees.dtype)
+        degrees = self._degrees - lost  # dead vertices only go further below 0
+        degrees[gone] = -1
+        return IntersectionGraph(self._rows, self._packed, degrees, self._alive & ~mask)
 
     # -- equality (structural, for tests) ------------------------------
 
@@ -138,13 +155,12 @@ class IntersectionGraph:
 # -- builders ----------------------------------------------------------
 
 
-def _build_rows_pairwise(rects) -> list[int]:
-    """All-pairs open-overlap test, vectorized and bit-packed per row."""
-    n = len(rects)
-    if n == 0:
-        return []
-    lx, ly, hx, hy = _bounds_arrays(rects)
-    rows: list[int] = []
+def _build_pairwise(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs open-overlap test: packed adjacency rows and degrees."""
+    lx, ly, hx, hy = bounds
+    n = len(lx)
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    degrees = np.zeros(n, dtype=np.intp)
     block = 2048
     for start in range(0, n, block):
         stop = min(n, start + block)
@@ -155,10 +171,9 @@ def _build_rows_pairwise(rects) -> list[int]:
             & (ly[None, :] < hy[start:stop, None])
         )
         adj[np.arange(start, stop) - start, np.arange(start, stop)] = False
-        packed = np.packbits(adj, axis=1, bitorder="little")
-        for i in range(stop - start):
-            rows.append(int.from_bytes(packed[i].tobytes(), "little"))
-    return rows
+        packed[start:stop] = np.packbits(adj, axis=1, bitorder="little")
+        degrees[start:stop] = np.count_nonzero(adj, axis=1)
+    return packed, degrees
 
 
 def build_graph(rects) -> IntersectionGraph:
@@ -166,10 +181,17 @@ def build_graph(rects) -> IntersectionGraph:
 
     Vertex ``i`` is ``rects[i]``. Every pair is tested at once with numpy,
     in blocks of rows, and each row is packed into a bitset.
+
+    Raises:
+        UnstabbableOverlapError: if some rectangle's lower coordinate is one
+            ulp below some rectangle's upper coordinate on the same axis.
     """
     rects = list(rects)
     for r in rects:
         if not isinstance(r, Rectangle):
             raise TypeError(f"expected Rectangle, got {type(r).__name__}")
-    alive = (1 << len(rects)) - 1
-    return IntersectionGraph(_build_rows_pairwise(rects), alive)
+    bounds = _bounds_arrays(rects)
+    _check_stabbable(bounds)
+    packed, degrees = _build_pairwise(bounds)
+    rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return IntersectionGraph(rows, packed, degrees, (1 << len(rects)) - 1)

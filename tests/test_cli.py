@@ -144,6 +144,18 @@ def test_solve_missing_file():
     assert "error" in proc.stderr
 
 
+def test_solve_unstabbable_overlap_is_an_input_error(tmp_path):
+    # 0.5000000000000001 is the double right after 0.5: the overlap of the
+    # two boxes holds no double, so no stab point exists
+    path = tmp_path / "ulp.txt"
+    path.write_text("n 2\n0.0 0.0 0.5000000000000001 1.0\n0.5 0.0 1.0 1.0\n")
+    for algo in ("gcc", "gcc-i", "mis", "mis-i"):
+        proc = run_cli("solve", "--algo", algo, "--file", path)
+        assert proc.returncode == 2, algo
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_bench_csv_deterministic(tmp_path):
     args = ("bench", "--n-list", "30,60", "--trials", 3, "--seed", 4)
     a = run_cli(*args)

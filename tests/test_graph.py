@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from rectcover.geometry import generate_instance, interiors_intersect
@@ -109,9 +112,77 @@ def test_rows_past_the_first_row_block():
     assert not g.adjacent(2047, 2048)
     for i in (0, 1000, 2045, 2046, 2047, 2048, 2049, 2050, 2099):
         assert g.degree(i) > 0
+        degree = 0
         for j in range(len(rects)):
             if j != i:
-                assert g.adjacent(i, j) == interiors_intersect(rects[i], rects[j]), (i, j)
+                expected = interiors_intersect(rects[i], rects[j])
+                assert g.adjacent(i, j) == expected, (i, j)
+                degree += expected
+        assert g.degree(i) == degree, i
+    # degrees kept on deletion across the block boundary
+    h = g.remove_vertices([2047, 2048, 2049])
+    rows = h.raw_adjacency()
+    for i in (0, 2046, 2050, 2099):
+        assert h.degree(i) == (rows[i] & h.alive_mask).bit_count(), i
+
+
+def _scans(g):
+    # degrees, degree order, maximum-degree vertex and edge count of a view,
+    # by plain scans over the raw adjacency rows
+    rows, alive = g.raw_adjacency(), g.alive_mask
+    live = bit_indices(alive)
+    degrees = {v: (rows[v] & alive).bit_count() for v in live}
+    by_degree = sorted(live, key=lambda v: (degrees[v], v))
+    top = max(live, key=lambda v: (degrees[v], -v)) if live else None
+    return degrees, by_degree, top, sum(degrees.values()) // 2
+
+
+def _state(g):
+    live = g.vertices()
+    degrees = {v: g.degree(v) for v in live}
+    return degrees, g.vertices_by_degree(), g.max_degree_vertex(), g.edge_count()
+
+
+def _equal_squares(n, seed):
+    rng = random.Random(seed)
+    side = 1.0 / math.sqrt(n / 4)  # about sixteen neighbors each
+    out = []
+    for _ in range(n):
+        x, y = rng.uniform(0, 1 - side), rng.uniform(0, 1 - side)
+        out.append(mk(x, y, x + side, y + side))
+    return out
+
+
+@pytest.mark.parametrize("family", ["uniform", "squares"])
+def test_degree_state_matches_scans_under_deletion(family):
+    for seed in range(12):
+        rects = (
+            generate_instance(60, seed=700 + seed).rects
+            if family == "uniform"
+            else _equal_squares(60, 800 + seed)
+        )
+        g = build_graph(rects)
+        views = [g]
+        rng = random.Random(seed)
+        # first drop the maximum-degree vertex, so a dead vertex held the
+        # highest degree, then delete random batches down to nothing
+        h = g.remove_vertices([g.max_degree_vertex()])
+        views.append(h)
+        while h.n:
+            live = h.vertices()
+            h = h.remove_vertices(rng.sample(live, min(len(live), rng.randint(1, 6))))
+            views.append(h)
+        # checked after all deletions, so no view is changed by a later one
+        for view in views:
+            assert _state(view) == _scans(view), (family, seed, view.n)
+
+
+def test_remove_repeated_vertex_counts_it_once(triangle):
+    g = build_graph(triangle)
+    h = g.remove_vertices([0, 0])
+    assert h.vertices() == [1, 2]
+    assert h.degree(1) == 1 and h.degree(2) == 1
+    assert h.edge_count() == 1
 
 
 def test_degree_sum_is_twice_edges():

@@ -1,9 +1,16 @@
 import hashlib
+import math
 
 import pytest
 
 from rectcover.bench import trial_seed
-from rectcover.geometry import contains, domination_witnesses, filter_dominated, generate_instance
+from rectcover.geometry import (
+    UnstabbableOverlapError,
+    contains,
+    domination_witnesses,
+    filter_dominated,
+    generate_instance,
+)
 from rectcover.graph import build_graph
 from rectcover.heuristics import CoverResult, gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import exact_mcc, exact_mis, verify_cover, verify_independent
@@ -283,3 +290,54 @@ def test_domination_filter_matches_manual_prefilter():
         survivors = inst_of([instance.rects[i] for i in kept])
         assert gcc_i(instance).size == gcc_i(survivors).size
         assert mis_greedy(instance).size == mis_greedy(survivors).size
+
+
+# ------------------------------------------------------- one-ulp contract
+
+ALL_HEURISTICS = [gcc, gcc_i, mis_greedy, mis_i]
+ULP1 = math.nextafter(0.5, 1)  # the double right after 0.5
+ULP2 = math.nextafter(ULP1, 1)
+
+
+def _check_valid(algo, instance):
+    result = algo(instance)
+    if isinstance(result, CoverResult):
+        assert verify_cover(instance.rects, result.points, result.assignment)
+    else:
+        assert verify_independent(instance.rects, result.members)
+
+
+@pytest.mark.parametrize("algo", ALL_HEURISTICS)
+@pytest.mark.parametrize(
+    "rects",
+    [
+        # overlap (0.5, ULP1) on x holds no double
+        [mk(0, 0, ULP1, 1), mk(0.5, 0, 1, 1)],
+        # the same on y
+        [mk(0, 0, 1, ULP1), mk(0, 0.5, 1, 1)],
+        # one rectangle one ulp wide, next to a normal one
+        [mk(0, 0, 1, 1), mk(0.5, 2, ULP1, 3)],
+    ],
+    ids=["overlap-x", "overlap-y", "one-ulp-wide"],
+)
+def test_unstabbable_overlap_is_a_typed_error(algo, rects):
+    with pytest.raises(UnstabbableOverlapError):
+        algo(inst_of(rects))
+
+
+@pytest.mark.parametrize("algo", ALL_HEURISTICS)
+@pytest.mark.parametrize(
+    "rects",
+    [
+        # overlap (0.5, ULP2) holds ULP1
+        [mk(0, 0, ULP2, 1), mk(0.5, 0, 1, 1)],
+        [mk(0, 0, 1, ULP2), mk(0, 0.5, 1, 1)],
+        # sweep cells one ulp wide whose midpoint rounds onto a member's
+        # edge: the cell (0.5, ULP1) on x, the gap (ULP1, ULP2) on y
+        [mk(0.5, 2, 0.8, 3), mk(ULP1, 0, 0.9, 1)],
+        [mk(0, 0.2, 1, ULP2), mk(2, 0.1, 3, ULP1)],
+    ],
+    ids=["overlap-x", "overlap-y", "thin-cell-x", "thin-gap-y"],
+)
+def test_overlaps_two_ulps_wide_solve(algo, rects):
+    _check_valid(algo, inst_of(rects))
