@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--simplicial-cap",
-        type=int,
+        type=_at_least(0),
         default=20000,
         help="largest size allowed for the simplicial-search algorithms",
     )
@@ -281,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--count", type=_at_least(0), default=5, help="number of random instances")
     verify.add_argument("--n", type=_at_least(0), default=12)
     verify.add_argument("--seed", type=int, default=1)
-    verify.add_argument("--mis-cap", type=int, default=DEFAULT_MIS_CAP)
-    verify.add_argument("--mcc-cap", type=int, default=DEFAULT_MCC_CAP)
+    verify.add_argument("--mis-cap", type=_at_least(0), default=DEFAULT_MIS_CAP)
+    verify.add_argument("--mcc-cap", type=_at_least(0), default=DEFAULT_MCC_CAP)
     verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=_cmd_verify)
 

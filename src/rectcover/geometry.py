@@ -4,6 +4,12 @@ Coordinates are double-precision floats. Intersection semantics are open
 throughout: two rectangles intersect only when their open interiors share a
 point, so boxes that merely touch along an edge or corner do not intersect.
 Containment, by contrast, uses the closed boxes.
+
+``filter_dominated`` finds the rectangles that contain another one, and for
+each a kept rectangle inside it, in one pass: it visits the rectangles in an
+order where every box comes after the boxes inside it, in blocks of 256, and
+tests each block against the rectangles kept so far and against itself.
+That costs O(n·kept) containment tests instead of O(n²).
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ __all__ = [
     "interiors_intersect",
     "contains",
     "filter_dominated",
-    "domination_witnesses",
     "common_intersection",
 ]
 
@@ -233,80 +238,52 @@ def _check_stabbable(bounds) -> None:
             )
 
 
-def _containment_blocks(outer, inner):
-    """Yield the closed-containment matrix of inner by outer boxes in row blocks.
-
-    ``outer`` and ``inner`` are ``(lx, ly, hx, hy)`` array tuples. Entry
-    ``[b, a]`` is True when inner box ``b`` lies inside the closed outer box
-    ``a`` and is not identical to it. Each item is ``(start, block)``: rows
-    ``start`` onwards, at most 1024, each spanning all outer boxes. The next
-    block overwrites it.
-    """
-    olx, oly, ohx, ohy = outer
-    n_inner = len(inner[0])
-    block_rows = 1024
-    # Every block reuses three buffers: a fresh temporary per comparison
-    # costs page faults, four times as many on clustered boxes.
-    shape = (min(block_rows, n_inner), len(olx))
-    inside, differs, tmp = (np.empty(shape, dtype=bool) for _ in range(3))
-    for start in range(0, n_inner, block_rows):
-        lx, ly, hx, hy = (a[start:start + block_rows, None] for a in inner)
-        m = len(lx)
-        ins, dif, t = inside[:m], differs[:m], tmp[:m]
-        np.greater_equal(lx, olx, out=ins)
-        ins &= np.less_equal(hx, ohx, out=t)
-        ins &= np.greater_equal(ly, oly, out=t)
-        ins &= np.less_equal(hy, ohy, out=t)
-        np.not_equal(lx, olx, out=dif)
-        dif |= np.not_equal(hx, ohx, out=t)
-        dif |= np.not_equal(ly, oly, out=t)
-        dif |= np.not_equal(hy, ohy, out=t)
-        ins &= dif
-        yield start, ins
-
-
-def filter_dominated(instance) -> tuple[list[int], list[int]]:
+def filter_dominated(instance) -> tuple[list[int], list[tuple[int, int]]]:
     """Split rectangle indices into kept (non-dominated) and removed.
 
     A rectangle is dominated when it contains some other rectangle of the
-    set. All rectangles are judged against the original set at once, so in a
-    nesting chain everything except the innermost rectangle is removed.
-    ``kept`` preserves the original order.
+    set, so in a nesting chain everything except the innermost rectangle
+    is removed. ``kept`` lists the other indices in order. ``removed`` lists
+    ``(i, w)`` pairs in index order, where ``w`` is the lowest-index kept
+    rectangle inside ``i``'s closed box: any point interior to ``w`` is
+    interior to ``i``.
 
     Accepts an Instance or any sequence of Rectangle.
     """
     rects = instance.rects if isinstance(instance, Instance) else tuple(instance)
     n = len(rects)
-    if n <= 1:
-        return list(range(n)), []
-
-    bounds = _bounds_arrays(rects)
-    dominated = np.zeros(n, dtype=bool)
-    for _, block in _containment_blocks(bounds, bounds):
-        dominated |= block.any(axis=0)
-    kept = [int(i) for i in np.flatnonzero(~dominated)]
-    removed = [int(i) for i in np.flatnonzero(dominated)]
-    return kept, removed
-
-
-def domination_witnesses(rects, kept, removed) -> list[int]:
-    """For each removed rectangle, the lowest-index kept one inside its closed box.
-
-    ``kept`` and ``removed`` are the lists ``filter_dominated`` returned for
-    the same rectangles. A witness always exists: containment is transitive,
-    and a chain of strictly contained boxes ends at a kept one. Any point
-    interior to the witness is interior to the removed rectangle.
-    """
-    if not removed:
-        return []
-    bounds = _bounds_arrays(rects)
-    outer = tuple(a[removed] for a in bounds)
-    inner = tuple(a[kept] for a in bounds)
-    first = np.full(len(removed), -1)
-    for start, block in _containment_blocks(outer, inner):
-        new = (first < 0) & block.any(axis=0)
-        first[new] = block[:, new].argmax(axis=0) + start
-    return [kept[j] for j in first]
+    bounds = lx, ly, hx, hy = _bounds_arrays(rects)
+    # A box strictly inside another has no larger float area (rounding is
+    # monotone), no coordinate further out and one further in, so it sorts
+    # strictly first. Containment is transitive and a chain of nested boxes
+    # ends at a kept one, so a box is dominated exactly when it contains a
+    # box kept so far or one of its own block, and then contains a kept one.
+    order = np.lexsort((hy, -ly, hx, -lx, (hx - lx) * (hy - ly)))
+    # Identical boxes sort next to each other, so a nonzero coordinate
+    # difference to the previous box starts a new box id. Telling identical
+    # boxes apart by id takes one comparison per pair instead of four.
+    box = np.empty(n, dtype=np.intp)
+    box[order] = np.cumsum(np.diff(np.stack(bounds)[:, order], prepend=np.nan).any(axis=0))
+    is_kept = np.zeros(n, dtype=bool)
+    witness = np.full(n, -1)
+    kept = order[:0]  # indices kept so far, ascending
+    block_rows = 256
+    for start in range(0, n, block_rows):
+        rows = order[start:start + block_rows]
+        cols = np.sort(np.concatenate((kept, rows)))
+        rlx, rly, rhx, rhy = (a[rows, None] for a in bounds)
+        clx, cly, chx, chy = (a[cols] for a in bounds)
+        # ins[r, c]: row box r holds column box c's closed box and differs from it
+        ins = (rlx <= clx) & (rhx >= chx) & (rly <= cly) & (rhy >= chy)
+        ins &= box[rows, None] != box[cols]
+        dominated = ins.any(axis=1)
+        is_kept[rows[~dominated]] = True
+        col_kept = is_kept[cols]
+        # columns ascend, so the first kept hit is the lowest-index witness
+        witness[rows[dominated]] = cols[(ins[dominated] & col_kept).argmax(axis=1)]
+        kept = cols[col_kept]
+    removed = np.flatnonzero(witness >= 0)
+    return kept.tolist(), list(zip(removed.tolist(), witness[removed].tolist()))
 
 
 def common_intersection(rects) -> Rectangle | None:

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cliques import find_simplicial, max_clique_sweep
-from .geometry import Instance, Point, domination_witnesses, filter_dominated
+from .geometry import Instance, Point, filter_dominated
 from .graph import build_graph
 
 __all__ = ["CoverResult", "IndependentSetResult", "gcc", "gcc_i", "mis_greedy", "mis_i"]
@@ -78,7 +78,8 @@ def _peel(instance: Instance, simplicial: bool, stuck):
 
     A round deletes a simplicial vertex's closed neighborhood if
     ``simplicial`` is set and one exists, else what ``stuck(graph, rects)``
-    returns, with ``vertex`` None. Vertex ids index ``kept``.
+    returns, with ``vertex`` None. Vertex ids index ``kept``; ``kept`` and
+    ``removed`` are as ``filter_dominated`` gives them.
     """
     kept, removed = filter_dominated(instance)
     rects = [instance.rects[i] for i in kept]
@@ -102,7 +103,7 @@ def _cover(instance: Instance, simplicial: bool) -> CoverResult:
     for pid, (_, members, _) in enumerate(rounds):
         for v in members:
             assignment[kept[v]] = pid
-    for i, w in zip(removed, domination_witnesses(instance.rects, kept, removed)):
+    for i, w in removed:
         assignment[i] = assignment[w]
     theta = sum(vertex is not None for vertex, _, _ in rounds)
     return CoverResult(

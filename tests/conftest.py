@@ -2,7 +2,7 @@
 
 import pytest
 
-from rectcover.geometry import Instance, Point, Rectangle, Region
+from rectcover.geometry import Instance, Point, Rectangle, Region, contains
 
 
 def mk(x1, y1, x2, y2):
@@ -23,6 +23,19 @@ def inst_of(rects):
     else:
         region = Region(0.0, 1.0, 0.0, 1.0)
     return Instance(rects=rects, seed=None, region=region, n_requested=len(rects))
+
+
+def first_kept_inside(rects):
+    """Plain-Python domination filter: ``(kept, [(i, first kept j inside i)])``."""
+    n = len(rects)
+    dominated = [any(contains(rects[i], rects[j]) for j in range(n)) for i in range(n)]
+    kept = [i for i in range(n) if not dominated[i]]
+    removed = [
+        (i, next(j for j in kept if contains(rects[i], rects[j])))
+        for i in range(n)
+        if dominated[i]
+    ]
+    return kept, removed
 
 
 @pytest.fixture

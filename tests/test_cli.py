@@ -247,8 +247,20 @@ def test_verify_size_capped():
         ("verify", "--n", -3),
         ("verify", "--count", -1),
         ("bench", "--trials", 0),
+        ("bench", "--simplicial-cap", -1),
+        ("verify", "--mis-cap", -1),
+        ("verify", "--mcc-cap", -1),
     ],
-    ids=["gen-n", "solve-n", "verify-n", "verify-count", "bench-trials"],
+    ids=[
+        "gen-n",
+        "solve-n",
+        "verify-n",
+        "verify-count",
+        "bench-trials",
+        "bench-simplicial-cap",
+        "verify-mis-cap",
+        "verify-mcc-cap",
+    ],
 )
 def test_bad_counts_are_usage_errors(args):
     proc = run_cli(*args)

@@ -12,14 +12,13 @@ from rectcover.geometry import (
     Region,
     common_intersection,
     contains,
-    domination_witnesses,
     filter_dominated,
     generate_instance,
     interiors_intersect,
     make_rectangle,
 )
 
-from conftest import inst_of, mk
+from conftest import first_kept_inside, inst_of, mk
 
 
 # ---------------------------------------------------------------- rectangles
@@ -183,19 +182,19 @@ def test_instance_rejects_rect_outside_region():
 def test_filter_dominated_examples():
     # outer contains inner: outer is dominated and removed
     kept, removed = filter_dominated(inst_of([mk(0, 0, 4, 4), mk(1, 1, 2, 2)]))
-    assert kept == [1] and removed == [0]
+    assert kept == [1] and removed == [(0, 1)]
 
     # the containing rectangle goes, unrelated ones stay
     kept, removed = filter_dominated(
         inst_of([mk(0, 0, 4, 4), mk(1, 1, 2, 2), mk(3, 0, 5, 2)])
     )
-    assert kept == [1, 2] and removed == [0]
+    assert kept == [1, 2] and removed == [(0, 1)]
 
-    # chain: a contains b contains c -> only c survives
+    # chain: a contains b contains c -> only c survives, and witnesses both
     kept, removed = filter_dominated(
         inst_of([mk(0, 0, 9, 9), mk(1, 1, 5, 5), mk(2, 2, 3, 3)])
     )
-    assert kept == [2] and removed == [0, 1]
+    assert kept == [2] and removed == [(0, 2), (1, 2)]
 
     # overlap without containment keeps both
     kept, removed = filter_dominated(inst_of([mk(0, 0, 2, 2), mk(1, 1, 3, 3)]))
@@ -204,71 +203,100 @@ def test_filter_dominated_examples():
     # boxes sharing three sides: the larger one goes, whichever side differs
     for inner in (mk(1, 0, 2, 2), mk(0, 1, 2, 2), mk(0, 0, 1, 2), mk(0, 0, 2, 1)):
         kept, removed = filter_dominated(inst_of([mk(0, 0, 2, 2), inner]))
-        assert kept == [1] and removed == [0], inner
+        assert kept == [1] and removed == [(0, 1)], inner
 
 
 def test_filter_dominated_duplicates_survive():
     # identical rectangles do not dominate each other
     kept, removed = filter_dominated(inst_of([mk(0, 0, 1, 1), mk(0, 0, 1, 1)]))
     assert kept == [0, 1] and removed == []
+    # a box around two duplicates takes the lower-index one as its witness
+    kept, removed = filter_dominated(
+        inst_of([mk(0, 0, 3, 3), mk(1, 1, 2, 2), mk(1, 1, 2, 2)])
+    )
+    assert kept == [1, 2] and removed == [(0, 1)]
 
 
 def test_filter_dominated_idempotent():
     for seed in range(8):
         instance = generate_instance(150, seed=seed)
         kept, removed = filter_dominated(instance)
-        assert sorted(kept + removed) == list(range(150))
+        assert sorted(kept + [i for i, _ in removed]) == list(range(150))
+        assert {w for _, w in removed} <= set(kept)
         survivors = [instance.rects[i] for i in kept]
         kept2, removed2 = filter_dominated(survivors)
         assert removed2 == []
         assert kept2 == list(range(len(survivors)))
 
 
-def test_filter_dominated_matches_naive():
-    def naive(rects):
-        removed = [
-            i
-            for i, outer in enumerate(rects)
-            if any(j != i and contains(outer, inner) for j, inner in enumerate(rects))
-        ]
-        kept = [i for i in range(len(rects)) if i not in set(removed)]
-        return kept, removed
+def _snapped(rng, n, grid):
+    """``n`` random boxes with corners on the integer grid 0..grid."""
+    rects = []
+    for _ in range(n):
+        x1, x2 = sorted(rng.sample(range(grid + 1), 2))
+        y1, y2 = sorted(rng.sample(range(grid + 1), 2))
+        rects.append(mk(x1, y1, x2, y2))
+    return rects
 
+
+def test_filter_dominated_matches_naive():
     for seed in range(12):
         instance = generate_instance(90, seed=1000 + seed)
-        assert filter_dominated(instance) == naive(instance.rects)
+        assert filter_dominated(instance) == first_kept_inside(instance.rects)
+    # integer corners: shared edges, duplicates and equal areas throughout;
+    # the larger ones span more than one 256-row block
+    rng = random.Random(77)
+    for n, grid in ((40, 3), (90, 5), (300, 4), (600, 8)):
+        rects = _snapped(rng, n, grid)
+        assert filter_dominated(rects) == first_kept_inside(rects), (n, grid)
 
 
 def test_filter_dominated_empty():
     assert filter_dominated(inst_of([])) == ([], [])
 
 
-def test_containment_blocks_cross_the_row_block_boundary():
-    # 1100 disjoint unit cells, so the kernel's 1024-row blocks of inner
-    # boxes split them; cell c is box c + 1 and kept rectangle number c
+def test_filter_dominated_across_256_row_blocks():
+    # 1100 disjoint unit cells of equal area, so the filter's blocks of 256
+    # rows in containment order hold only cells until the last one, which
+    # holds cells 75..0 and the six larger boxes; cell c is box c + 1 and
+    # kept rectangle number c
     cells = [mk(2 * c, 0, 2 * c + 1, 1) for c in range(1100)]
 
     def around(first, last):  # a box holding cells first..last
         return mk(2 * first - 0.5, -0.5, 2 * last + 1.5, 1.5)
 
     rects = (
-        [around(3, 4)]
+        [around(3, 4)]  # cells of its own block only
         + cells
         + [
-            around(1030, 1032),  # cells past the boundary only
-            around(1020, 1030),  # cells on both sides
-            around(1024, 1026),  # starting at the first cell of the second block
-            around(1028, 1040),  # also holds the removed box around 1030..1032
-            around(0, 1099),  # every cell
+            around(1030, 1032),  # cells of the first block only
+            around(1020, 1030),
+            around(1024, 1026),
+            around(1028, 1040),  # also holds the removed box around 1030..1032,
+            # which sits in its own block
+            around(0, 1099),  # cells of every block
         ]
     )
     kept, removed = filter_dominated(rects)
     n = len(rects)
-    expected_removed = [
-        i for i in range(n) if any(contains(rects[i], rects[j]) for j in range(n))
-    ]
-    assert removed == expected_removed == [0] + list(range(1101, 1106))
-    assert kept == [i for i in range(n) if i not in set(removed)]
-    expected = [next(j for j in kept if contains(rects[i], rects[j])) for i in removed]
-    assert domination_witnesses(rects, kept, removed) == expected
-    assert expected == [4, 1031, 1021, 1025, 1029, 1]
+    assert [i for i, _ in removed] == [0] + list(range(1101, 1106))
+    assert (kept, removed) == first_kept_inside(rects)
+    assert [w for _, w in removed] == [4, 1031, 1021, 1025, 1029, 1]
+    assert kept == [i for i in range(n) if i not in {i for i, _ in removed}]
+
+
+def test_nested_boxes_of_equal_float_area_split_by_a_block_boundary():
+    # the two widths round to the same double, so the pair ties on area;
+    # with 255 smaller boxes first, the outer box (index 255) and the inner
+    # one (index 256) sit at sorted positions 255 and 256, one on each side
+    # of the first block boundary, whichever of the two comes first
+    assert 1 + 2**-52 - 2**-60 == 1 + 2**-52
+    small = [mk(2 + 0.02 * c, 0, 2.01 + 0.02 * c, 0.01) for c in range(255)]
+    outer = mk(0, 0, 1 + 2**-52, 1)
+    inner = mk(2**-60, 0, 1 + 2**-52, 1)
+    assert outer.width * outer.height == inner.width * inner.height
+    rects = small + [outer, inner]
+    kept, removed = filter_dominated(rects)
+    assert removed == [(255, 256)]
+    assert kept == list(range(255)) + [256]
+    assert (kept, removed) == first_kept_inside(rects)

@@ -7,7 +7,6 @@ from rectcover.bench import trial_seed
 from rectcover.geometry import (
     UnstabbableOverlapError,
     contains,
-    domination_witnesses,
     filter_dominated,
     generate_instance,
 )
@@ -151,17 +150,19 @@ def test_dominated_rectangles_get_covered():
 
 
 def test_dominated_assignment_follows_first_kept_inside():
-    # 1500 boxes leave more than 1024 removed, past the witness kernel's
-    # first row block; the reference is a plain scan of kept in index order
+    # 1500 boxes make six blocks of 256 rows in the filter and leave more
+    # than 1024 removed; the reference is a plain scan of kept in index order
     instance = generate_instance(1500, seed=trial_seed(41, 1500, 0))
     kept, removed = filter_dominated(instance)
     assert len(removed) > 1024
     rects = instance.rects
-    expected = [next(j for j in kept if contains(rects[i], rects[j])) for i in removed]
-    assert domination_witnesses(instance.rects, kept, removed) == expected
+    expected = [
+        (i, next(j for j in kept if contains(rects[i], rects[j]))) for i, _ in removed
+    ]
+    assert removed == expected
     for algo in (gcc, gcc_i):
         assignment = algo(instance).assignment
-        assert [assignment[i] for i in removed] == [assignment[j] for j in expected]
+        assert [assignment[i] for i, _ in removed] == [assignment[w] for _, w in expected]
 
 
 def test_duplicates_handled():
