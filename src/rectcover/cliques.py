@@ -47,17 +47,13 @@ class SimplicialWitness:
 
 @dataclass
 class SimplicialSearchStats:
-    """Diagnostics from one simplicial search call.
+    """Diagnostics from simplicial searches.
 
-    ``entry_accesses`` counts adjacency-matrix entry touches of the search
-    as specified, whatever the graph keeps precomputed: one pass over the
-    live matrix for the degrees, then one per single entry test and one per
-    entry of a whole-row operation. ``marked_mask`` is the bitset of
-    vertices ruled out during the search.
+    ``entry_accesses`` counts adjacency-matrix entry touches: one live row
+    for each adjacency row read by each clique test actually made.
     """
 
     entry_accesses: int = 0
-    marked_mask: int = 0
 
 
 def max_clique_sweep(rects) -> CliqueWitness:
@@ -149,69 +145,29 @@ def find_simplicial(
 
     A vertex is simplicial when its closed neighborhood is a clique.
     Vertices are visited in increasing order of current degree (ties to the
-    lowest id), skipping marked ones, and the first simplicial one is
-    returned. When a candidate v fails, nothing in its closed neighborhood
-    can be simplicial, so all of it is marked; and for every non-adjacent
-    pair a, b in that neighborhood, every common neighbor of a and b is
-    marked as well, since its neighborhood contains the non-adjacent pair.
-    Marking never skips the answer. A simplicial neighbor u of the failed v
-    has a clique for its closed neighborhood, so that neighborhood lies
-    inside v's, and is smaller, since v is not simplicial. So u has
-    strictly smaller degree than v, was visited earlier and would have been
-    returned. Each non-adjacent pair is processed at most once per call,
-    which keeps the total matrix work quadratic.
+    lowest id), and the first simplicial one is returned. Clique tests go
+    through ``g.closed_clique_test``, whose answers the view remembers across
+    searches and deletions: known non-cliques are skipped, and only vertices
+    of unknown answer are tested.
 
     ``rects`` must be indexed by vertex id of the base graph. The witness
     stab point is the center of the common intersection of the neighborhood,
     interior to every member by the Helly property.
     """
-    alive = g.alive_mask
-    if alive == 0:
-        return None
-    rows = g.raw_adjacency()
-    na = alive.bit_count()
-
-    order = g.vertices_by_degree()
-    accesses = na * na  # one degree pass over the live matrix
-
-    marked = 0
-    witness = None
-    for v in order:
-        if (marked >> v) & 1:
+    known_non_cliques = g.known_non_cliques
+    for v in g.vertices_by_degree():
+        if (known_non_cliques >> v) & 1:
             continue
-        closed = (rows[v] & alive) | (1 << v)
-        members = bit_indices(closed)
-        clique = True
-        checked = 0
-        for a in members:
-            checked += 1
-            if closed & ~(rows[a] | (1 << a)):
-                clique = False
-                break
-        accesses += na * (1 + checked)  # the closed row, then each row checked
+        clique, read = g.closed_clique_test(v)
+        if stats is not None:
+            stats.entry_accesses += g.n * read
         if clique:
+            members = bit_indices(g.neighborhood_mask(v))
             box = common_intersection([rects[i] for i in members])
             if box is None:
                 raise UnstabbableOverlapError(f"clique neighborhood of {v} has no common interior")
-            witness = SimplicialWitness(v, tuple(members), box.center())
-            break
-
-        k = len(members)
-        accesses += k * (k - 1) // 2  # one entry test per pair
-        marked |= closed
-        for idx, a in enumerate(members):
-            row_a = rows[a]
-            for b in members[idx + 1 :]:
-                if not (row_a >> b) & 1:
-                    marked |= row_a & rows[b] & alive
-                    accesses += 2 * na
-        if not (alive & ~marked):
-            break
-
-    if stats is not None:
-        stats.entry_accesses += accesses
-        stats.marked_mask = marked
-    return witness
+            return SimplicialWitness(v, tuple(members), box.center())
+    return None
 
 
 def is_clique(g: IntersectionGraph, vertices) -> bool:

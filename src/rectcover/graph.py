@@ -1,16 +1,17 @@
-"""Intersection graph of rectangles with bit-packed adjacency.
+"""Intersection graph of rectangles with bitset adjacency.
 
 Adjacency rows are Python integers used as bitsets: bit ``j`` of row ``i``
 says rectangles ``i`` and ``j`` have open interiors that intersect. The
-diagonal is always clear. The same matrix is also kept packed in numpy, one
-``uint8`` row of ceil(k/8) bytes per vertex. Vertex deletion is a logical
-mask: removing vertices produces a new view sharing both forms of the
-adjacency, with its own array of live degrees. Degrees are maintained on
-deletion, not recomputed on demand: the new view subtracts the column sums
-of the removed rows, so every whole-live-set query (vertex list, degree
-order, maximum degree, edge count) reads numpy arrays. Vertex ids always
-refer to the originally built graph, so a rectangle keeps its id across
-deletions.
+diagonal is always clear. Vertex deletion is a logical mask: removing
+vertices produces a new view sharing the rows, with its own numpy array of
+live degrees; only the live neighbors of removed vertices change degree,
+each by its number of removed neighbors. A view also remembers the live
+vertices known to have, and known not to have, a clique for their closed
+neighborhood. A clique stays one under deletion and an untouched
+neighborhood is unchanged, so a new view keeps the known cliques still live
+and the known non-cliques still live that lost no neighbor. Vertex ids
+always refer to the originally built graph, so a rectangle keeps its id
+across deletions.
 
 The graph is built by one quadratic pairwise test, vectorized with numpy.
 On the kept sets the heuristics build graphs for, it is faster than a plane
@@ -42,17 +43,18 @@ class IntersectionGraph:
     """Immutable view of an intersection graph, possibly with vertices removed.
 
     Views are made by ``build_graph`` and ``remove_vertices``. ``degrees``
-    holds each live vertex's number of live neighbors, and a negative number
-    for each dead vertex.
+    holds each live vertex's number of live neighbors, and -1 for each dead
+    vertex. Only ``closed_clique_test`` adds to the known (non-)cliques.
     """
 
-    __slots__ = ("_rows", "_packed", "_degrees", "_alive")
+    __slots__ = ("_rows", "_degrees", "_alive", "_cliques", "_non_cliques")
 
-    def __init__(self, rows: list[int], packed: np.ndarray, degrees: np.ndarray, alive: int):
+    def __init__(self, rows: list[int], degrees: np.ndarray, alive: int, cliques=0, non_cliques=0):
         self._rows = rows
-        self._packed = packed
         self._degrees = degrees
         self._alive = alive
+        self._cliques = cliques
+        self._non_cliques = non_cliques
 
     # -- basic queries -------------------------------------------------
 
@@ -120,6 +122,42 @@ class IntersectionGraph:
             for v in bit_indices(higher):
                 yield (u, v)
 
+    # -- remembered clique tests ---------------------------------------
+
+    @property
+    def known_cliques(self) -> int:
+        """Bitset of live vertices known to have a clique closed neighborhood."""
+        return self._cliques
+
+    @property
+    def known_non_cliques(self) -> int:
+        """Bitset of live vertices known not to have a clique closed neighborhood."""
+        return self._non_cliques
+
+    def closed_clique_test(self, v: int) -> tuple[bool, int]:
+        """Whether ``v``'s closed neighborhood is a clique, and the rows read.
+
+        A known answer reads none. Otherwise the rows of ``v`` and of its live
+        neighbors are read in id order, up to the first that misses a member,
+        and the view remembers the answer.
+        """
+        bit = 1 << v
+        if (self._cliques | self._non_cliques) & bit:
+            return self._cliques & bit != 0, 0
+        rows = self._rows
+        closed = (rows[v] & self._alive) | bit
+        read = 1
+        rest = closed ^ bit
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            read += 1
+            if closed & ~(rows[low.bit_length() - 1] | low):
+                self._non_cliques |= bit
+                return False, read
+        self._cliques |= bit
+        return True, read
+
     # -- deletion ------------------------------------------------------
 
     def remove_vertices(self, vertices) -> "IntersectionGraph":
@@ -130,13 +168,19 @@ class IntersectionGraph:
         if mask & ~self._alive:
             dead = bit_indices(mask & ~self._alive)
             raise ValueError(f"cannot remove vertices not in the graph: {dead}")
+        rows, alive = self._rows, self._alive & ~mask
         gone = bit_indices(mask)
-        lost = np.unpackbits(
-            self._packed[gone], axis=1, count=len(self._rows), bitorder="little"
-        ).sum(axis=0, dtype=self._degrees.dtype)
-        degrees = self._degrees - lost  # dead vertices only go further below 0
+        touched = 0
+        for v in gone:
+            touched |= rows[v]
+        touched &= alive
+        degrees = self._degrees.copy()
         degrees[gone] = -1
-        return IntersectionGraph(self._rows, self._packed, degrees, self._alive & ~mask)
+        for u in bit_indices(touched):
+            degrees[u] -= (rows[u] & mask).bit_count()
+        return IntersectionGraph(
+            rows, degrees, alive, self._cliques & alive, self._non_cliques & alive & ~touched
+        )
 
     # -- equality (structural, for tests) ------------------------------
 
@@ -155,8 +199,8 @@ class IntersectionGraph:
 # -- builders ----------------------------------------------------------
 
 
-def _build_pairwise(bounds) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs open-overlap test: packed adjacency rows and degrees."""
+def _build_pairwise(bounds) -> tuple[list[int], np.ndarray]:
+    """All-pairs open-overlap test: adjacency bitset rows and degrees."""
     lx, ly, hx, hy = bounds
     n = len(lx)
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
@@ -173,7 +217,7 @@ def _build_pairwise(bounds) -> tuple[np.ndarray, np.ndarray]:
         adj[np.arange(start, stop) - start, np.arange(start, stop)] = False
         packed[start:stop] = np.packbits(adj, axis=1, bitorder="little")
         degrees[start:stop] = np.count_nonzero(adj, axis=1)
-    return packed, degrees
+    return [int.from_bytes(row.tobytes(), "little") for row in packed], degrees
 
 
 def build_graph(rects) -> IntersectionGraph:
@@ -192,6 +236,5 @@ def build_graph(rects) -> IntersectionGraph:
             raise TypeError(f"expected Rectangle, got {type(r).__name__}")
     bounds = _bounds_arrays(rects)
     _check_stabbable(bounds)
-    packed, degrees = _build_pairwise(bounds)
-    rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return IntersectionGraph(rows, packed, degrees, (1 << len(rects)) - 1)
+    rows, degrees = _build_pairwise(bounds)
+    return IntersectionGraph(rows, degrees, (1 << len(rects)) - 1)

@@ -120,8 +120,8 @@ def exact_mcc(rects, cap: int = DEFAULT_MCC_CAP) -> tuple[int, list[Point]]:
     """Exact minimum piercing by set cover over candidate cell midpoints.
 
     Candidates are deduplicated by coverage set and pruned to maximal
-    coverage sets, then searched by iterative deepening on the cover size,
-    bounded above by a greedy cover.
+    coverage sets, then searched by iterative deepening on the cover size
+    below that of a greedy cover, which is returned if no smaller one exists.
     """
     rects = list(rects)
     n = len(rects)
@@ -183,11 +183,11 @@ def exact_mcc(rects, cap: int = DEFAULT_MCC_CAP) -> tuple[int, list[Point]]:
             chosen.pop()
         return None
 
-    for k in range(1, len(greedy) + 1):
+    for k in range(1, len(greedy)):
         res = dfs(full, k, [])
         if res is not None:
             return k, [cand_points[c] for c in res]
-    raise AssertionError("greedy cover exists, so the deepening loop must succeed")
+    return len(greedy), [cand_points[c] for c in greedy]
 
 
 def simplicial_scan(g: IntersectionGraph) -> set[int]:

@@ -1,8 +1,14 @@
 """Shared fixtures: hand-built rectangle layouts used across test modules."""
 
+import math
+import random
+
 import pytest
 
+from rectcover.cliques import find_simplicial
 from rectcover.geometry import Instance, Point, Rectangle, Region, contains
+from rectcover.graph import bit_indices, build_graph
+from rectcover.oracles import simplicial_scan
 
 
 def mk(x1, y1, x2, y2):
@@ -36,6 +42,60 @@ def first_kept_inside(rects):
         if dominated[i]
     ]
     return kept, removed
+
+
+def equal_squares(n, seed):
+    """``n`` equal squares placed uniformly in the unit square, about sixteen
+    neighbors each."""
+    rng = random.Random(seed)
+    side = 1.0 / math.sqrt(n / 4)
+    out = []
+    for _ in range(n):
+        x, y = rng.uniform(0, 1 - side), rng.uniform(0, 1 - side)
+        out.append(mk(x, y, x + side, y + side))
+    return out
+
+
+def crossing_bars(k):
+    """``k`` vertical bars crossing ``k`` horizontal ones: the graph is K_{k,k}
+    and no bar contains another."""
+    vertical = [mk(i, -1, i + 0.5, k) for i in range(k)]
+    horizontal = [mk(-1, j, k, j + 0.5) for j in range(k)]
+    return vertical + horizontal
+
+
+def check_remembered_search(rects, seed):
+    """Peel ``rects``'s graph by seeded deletions, checking every round.
+
+    A round deletes the found simplicial neighborhood or a random batch of
+    live vertices. The search on the peeled view, which remembers clique
+    tests from earlier rounds, must give the witness a fresh view of the
+    same live set gives, and the vertex of least (degree, id) among those
+    ``simplicial_scan`` finds. Known cliques must be simplicial and known
+    non-cliques not.
+    """
+    rng = random.Random(seed)
+    g = build_graph(rects)
+    deleted = []
+    while g.n:
+        w = find_simplicial(g, rects)
+        assert w == find_simplicial(build_graph(rects).remove_vertices(deleted), rects), deleted
+        scan = simplicial_scan(g)
+        if scan:
+            rows, alive = g.raw_adjacency(), g.alive_mask
+            least = min(scan, key=lambda v: ((rows[v] & alive).bit_count(), v))
+            assert w is not None and w.vertex == least, deleted
+        else:
+            assert w is None, deleted
+        assert set(bit_indices(g.known_cliques)) <= scan, deleted
+        assert scan.isdisjoint(bit_indices(g.known_non_cliques)), deleted
+        if w is not None and rng.random() < 0.5:
+            batch = list(w.neighborhood)
+        else:
+            live = g.vertices()
+            batch = rng.sample(live, min(len(live), rng.randint(1, 4)))
+        deleted += batch
+        g = g.remove_vertices(batch)
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from rectcover.bench import trial_seed
 from rectcover.cliques import (
     SimplicialSearchStats,
     find_simplicial,
@@ -13,7 +12,7 @@ from rectcover.geometry import filter_dominated, generate_instance
 from rectcover.graph import build_graph
 from rectcover.oracles import max_clique_candidates, simplicial_scan
 
-from conftest import mk
+from conftest import check_remembered_search, crossing_bars, equal_squares, mk
 
 
 def quadratic_budget(k):
@@ -137,17 +136,6 @@ def test_simplicial_agrees_with_scan():
             assert w is None, seed
 
 
-def test_simplicial_marking_is_sound():
-    # no vertex the search marked may actually be simplicial
-    for seed in range(40):
-        instance = generate_instance(30, seed=2100 + seed)
-        g = build_graph(instance.rects)
-        stats = SimplicialSearchStats()
-        find_simplicial(g, list(instance.rects), stats=stats)
-        marked = {v for v in g.vertices() if (stats.marked_mask >> v) & 1}
-        assert marked.isdisjoint(simplicial_scan(g)), seed
-
-
 def test_simplicial_on_residual_graphs():
     # deleting vertices must not confuse the search
     instance = generate_instance(40, seed=4242)
@@ -182,39 +170,14 @@ def test_simplicial_access_budget():
                     g = g.remove_vertices([g.max_degree_vertex()])
 
 
-def _peel_stats(rects):
-    # (entry_accesses, marked_mask, vertex found) of every search in a
-    # full deletion loop that drops the maximum-degree vertex when stuck
-    g = build_graph(rects)
-    out = []
-    while g.n:
-        stats = SimplicialSearchStats()
-        w = find_simplicial(g, rects, stats=stats)
-        out.append((stats.entry_accesses, stats.marked_mask, None if w is None else w.vertex))
-        g = g.remove_vertices(w.neighborhood if w is not None else [g.max_degree_vertex()])
-    return out
-
-
-def test_simplicial_counters_pinned(frame4):
-    # values of the search as it counted before the counters were kept in
-    # one local; the 40-box instance has failed candidates in four searches
-    assert _peel_stats(frame4) == [(39, 15, None), (18, 0, 2), (3, 0, 3)]
-    rects = list(generate_instance(40, seed=trial_seed(12, 40, 1)).rects)
-    assert _peel_stats(rects) == [
-        (1800, 0, 8),
-        (1512, 0, 9),
-        (1209, 0, 2),
-        (795, 413931671552, 6),
-        (480, 0, 4),
-        (340, 0, 22),
-        (285, 0, 16),
-        (255, 60264816642, 19),
-        (80, 0, 28),
-        (115, 34360795138, 21),
-        (39, 34360795138, None),
-        (18, 0, 13),
-        (3, 0, 20),
-    ]
+def test_simplicial_memo_agrees_with_fresh_search(frame4):
+    # views made by deletion remember earlier clique tests; the answer must
+    # not depend on them
+    for seed in range(8):
+        check_remembered_search(list(generate_instance(60, seed=3100 + seed).rects), seed)
+        check_remembered_search(equal_squares(60, 3200 + seed), seed)
+        check_remembered_search(crossing_bars(12), seed)
+        check_remembered_search(frame4, seed)
 
 
 # ------------------------------------------------------------------ cliques

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from rectcover.geometry import generate_instance, interiors_intersect
 from rectcover.graph import IntersectionGraph, bit_indices, build_graph
 
-from conftest import mk
+from conftest import crossing_bars, equal_squares, mk
 
 
 def test_bit_indices():
@@ -143,31 +142,32 @@ def _state(g):
     return degrees, g.vertices_by_degree(), g.max_degree_vertex(), g.edge_count()
 
 
-def _equal_squares(n, seed):
-    rng = random.Random(seed)
-    side = 1.0 / math.sqrt(n / 4)  # about sixteen neighbors each
-    out = []
-    for _ in range(n):
-        x, y = rng.uniform(0, 1 - side), rng.uniform(0, 1 - side)
-        out.append(mk(x, y, x + side, y + side))
-    return out
+def _family(family, seed):
+    # the rectangles, and a component of them to delete whole in one batch
+    if family == "uniform":
+        return list(generate_instance(60, seed=700 + seed).rects), []
+    if family == "squares":
+        return equal_squares(60, 800 + seed), []
+    # K_{12,12} plus a far-away K_{3,3}, whose deletion touches no live vertex
+    far = [mk(r.lo.x + 100, r.lo.y, r.hi.x + 100, r.hi.y) for r in crossing_bars(3)]
+    return crossing_bars(12) + far, list(range(24, 30))
 
 
-@pytest.mark.parametrize("family", ["uniform", "squares"])
+@pytest.mark.parametrize("family", ["uniform", "squares", "bars"])
 def test_degree_state_matches_scans_under_deletion(family):
     for seed in range(12):
-        rects = (
-            generate_instance(60, seed=700 + seed).rects
-            if family == "uniform"
-            else _equal_squares(60, 800 + seed)
-        )
+        rects, component = _family(family, seed)
         g = build_graph(rects)
         views = [g]
         rng = random.Random(seed)
         # first drop the maximum-degree vertex, so a dead vertex held the
-        # highest degree, then delete random batches down to nothing
+        # highest degree, then any whole component, then random batches
+        # down to nothing
         h = g.remove_vertices([g.max_degree_vertex()])
         views.append(h)
+        if component:
+            h = h.remove_vertices(component)
+            views.append(h)
         while h.n:
             live = h.vertices()
             h = h.remove_vertices(rng.sample(live, min(len(live), rng.randint(1, 6))))

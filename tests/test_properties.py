@@ -14,7 +14,7 @@ from rectcover.graph import build_graph
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import exact_mcc, exact_mis, verify_cover, verify_independent
 
-from conftest import first_kept_inside, inst_of, mk
+from conftest import check_remembered_search, first_kept_inside, inst_of, mk
 
 HALF = 0.5
 COORDS = [0.0, math.nextafter(HALF, 0.0), HALF, math.nextafter(HALF, 1.0), 1.0, 2.0, 3.0]
@@ -57,3 +57,13 @@ def test_outputs_verify_and_sandwich_the_optima(rects):
     opt_cover = exact_mcc(rects)[0]
     assert max(r.size for r in sets) <= opt_independent <= opt_cover
     assert opt_cover <= min(r.size for r in covers)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(boxes, st.integers(0, 2**16))
+def test_simplicial_memo_agrees_with_fresh_search(rects, seed):
+    try:
+        build_graph(rects)
+    except UnstabbableOverlapError:
+        return
+    check_remembered_search(rects, seed)
