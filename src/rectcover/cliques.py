@@ -80,33 +80,36 @@ def max_clique_sweep(rects) -> CliqueWitness:
     xs = sorted({r.lo.x for r in rects} | {r.hi.x for r in rects})
     x_id = {x: i for i, x in enumerate(xs)}
     tree = MaxAddSegmentTree(len(xs) - 1)
+    add = tree.add
 
-    TOP, BOTTOM = 0, 1  # tops first at equal y; the gap query follows the batch
+    # an event is (-y, kind, first cell, end cell) and adds -kind to its
+    # cells: tops (+1) sort first at equal y
+    TOP, BOTTOM = -1, 1
     events = []
     for r in rects:
-        events.append((-r.hi.y, TOP, x_id[r.lo.x], x_id[r.hi.x]))
-        events.append((-r.lo.y, BOTTOM, x_id[r.lo.x], x_id[r.hi.x]))
+        a = x_id[r.lo.x]
+        b = x_id[r.hi.x]
+        events.append((-r.hi.y, TOP, a, b))
+        events.append((-r.lo.y, BOTTOM, a, b))
     events.sort()
 
     best_depth = 0
     best_cell = -1
     best_gap = (0.0, 0.0)
 
-    i = 0
-    m = len(events)
-    while i < m:
-        neg_y = events[i][0]
-        while i < m and events[i][0] == neg_y:
-            _, kind, a, b = events[i]
-            tree.add(a, b, 1 if kind == TOP else -1)
-            i += 1
-        if i == m:
-            break  # below the last event nothing is active
-        depth, cell = tree.peek_max()
-        if depth > best_depth:
-            best_depth = depth
-            best_cell = cell
-            best_gap = (-events[i][0], -neg_y)  # (lower y, upper y)
+    # a batch of equal-y events ends where the next one starts; the tree
+    # then holds the depths of the gap between the two y values. Below the
+    # last batch nothing is active, so it is never read.
+    batch_y = events[0][0]
+    for neg_y, kind, a, b in events:
+        if neg_y != batch_y:
+            depth, cell = tree.peek_max()
+            if depth > best_depth:
+                best_depth = depth
+                best_cell = cell
+                best_gap = (-neg_y, -batch_y)  # (lower y, upper y)
+            batch_y = neg_y
+        add(a, b, -kind)
 
     stab = Point(
         _inside(xs[best_cell], xs[best_cell + 1], (r.lo.x for r in rects)),

@@ -1,15 +1,17 @@
 """Brute-force ground truth for small instances.
 
-Every solver here is independent of the sweep/simplicial engine and meant
-for verification at desk scale only. The shared discretization: rectangle
-membership is constant on each open cell of the grid induced by all distinct
-edge coordinates, so cell midpoints form a complete candidate set for
-piercing points and for depth counting.
+Every solver here is independent of the sweep/simplicial engine, sharing
+only its rule for a point inside a cell, and meant for verification at desk
+scale only. The shared discretization: rectangle membership is constant on
+each open cell of the grid induced by all distinct edge coordinates, so one
+point per cell forms a complete candidate set for piercing points and for
+depth counting. A cell's point follows the sweep's rule: the midpoint, or on
+a one-ulp-wide side a corner no box starts or ends at.
 """
 
 from __future__ import annotations
 
-from .cliques import CliqueWitness
+from .cliques import CliqueWitness, _inside
 from .geometry import Point, interiors_intersect
 from .graph import IntersectionGraph, bit_indices
 
@@ -32,7 +34,7 @@ class OracleSizeError(ValueError):
 
 
 def _axis_cells(los, his):
-    """Sorted distinct coordinates plus one coverage bitset per gap."""
+    """One interior coordinate and one coverage bitset per gap between edges."""
     coords = sorted(set(los) | set(his))
     index = {c: i for i, c in enumerate(coords)}
     masks = [0] * (len(coords) - 1)
@@ -40,25 +42,27 @@ def _axis_cells(los, his):
         bit = 1 << r
         for c in range(index[lo], index[hi]):
             masks[c] |= bit
-    return coords, masks
+    starts = set(los)
+    points = [_inside(a, b, starts) for a, b in zip(coords, coords[1:])]
+    return points, masks
 
 
 def _grid(rects):
-    xs, xmasks = _axis_cells([r.lo.x for r in rects], [r.hi.x for r in rects])
-    ys, ymasks = _axis_cells([r.lo.y for r in rects], [r.hi.y for r in rects])
-    return xs, xmasks, ys, ymasks
+    cell_x, xmasks = _axis_cells([r.lo.x for r in rects], [r.hi.x for r in rects])
+    cell_y, ymasks = _axis_cells([r.lo.y for r in rects], [r.hi.y for r in rects])
+    return cell_x, xmasks, cell_y, ymasks
 
 
 def max_clique_candidates(rects) -> CliqueWitness:
     """Maximum clique by exhaustive candidate-point enumeration.
 
-    Scans every elementary cell midpoint and counts containing rectangles;
-    the deepest midpoint is a stab point of a maximum clique.
+    Scans every elementary cell and counts the rectangles spanning it; the
+    deepest cell's point is a stab point of a maximum clique.
     """
     rects = list(rects)
     if not rects:
         raise ValueError("max_clique_candidates needs at least one rectangle")
-    xs, xmasks, ys, ymasks = _grid(rects)
+    cell_x, xmasks, cell_y, ymasks = _grid(rects)
 
     best_count = 0
     best = None
@@ -72,8 +76,7 @@ def max_clique_candidates(rects) -> CliqueWitness:
                 best_count = c
                 best = (cx, cy, m)
     cx, cy, m = best
-    stab = Point((xs[cx] + xs[cx + 1]) / 2.0, (ys[cy] + ys[cy + 1]) / 2.0)
-    return CliqueWitness(tuple(bit_indices(m)), stab)
+    return CliqueWitness(tuple(bit_indices(m)), Point(cell_x[cx], cell_y[cy]))
 
 
 def exact_mis(g: IntersectionGraph, cap: int = DEFAULT_MIS_CAP) -> tuple[int, set[int]]:
@@ -117,7 +120,7 @@ def exact_mis(g: IntersectionGraph, cap: int = DEFAULT_MIS_CAP) -> tuple[int, se
 
 
 def exact_mcc(rects, cap: int = DEFAULT_MCC_CAP) -> tuple[int, list[Point]]:
-    """Exact minimum piercing by set cover over candidate cell midpoints.
+    """Exact minimum piercing by set cover over candidate cell points.
 
     Candidates are deduplicated by coverage set and pruned to maximal
     coverage sets, then searched by iterative deepening on the cover size
@@ -130,7 +133,7 @@ def exact_mcc(rects, cap: int = DEFAULT_MCC_CAP) -> tuple[int, list[Point]]:
     if n > cap:
         raise OracleSizeError(f"exact_mcc cap is {cap}, instance has {n} rectangles")
 
-    xs, xmasks, ys, ymasks = _grid(rects)
+    cell_x, xmasks, cell_y, ymasks = _grid(rects)
     seen = set()
     cand_masks: list[int] = []
     cand_points: list[Point] = []
@@ -142,9 +145,7 @@ def exact_mcc(rects, cap: int = DEFAULT_MCC_CAP) -> tuple[int, list[Point]]:
             if m and m not in seen:
                 seen.add(m)
                 cand_masks.append(m)
-                cand_points.append(
-                    Point((xs[cx] + xs[cx + 1]) / 2.0, (ys[cy] + ys[cy + 1]) / 2.0)
-                )
+                cand_points.append(Point(cell_x[cx], cell_y[cy]))
 
     maximal = [
         i

@@ -1,80 +1,120 @@
-"""Segment tree with lazy range add and a (max, leftmost argmax) readout.
+"""Segment tree with range add and a (max, leftmost argmax) readout.
 
 Used by the sweep-line clique search to maintain overlap depth per
 elementary x-interval. The tree covers a fixed array of ``size`` zeros;
 ``add`` applies a delta to a half-open index range and ``peek_max`` returns
 the current global maximum together with the smallest index attaining it.
+
+The tree is iterative and never pushes an add down. Leaves sit at
+``base + i`` for a power of two ``base >= size``; the padding leaves past
+``size`` hold ``-inf``, so they never win. Node ``p`` stores the maximum of
+its subtree including every add made to ``p`` itself, and ``pend[p]`` keeps
+the sum of those adds:
+
+    mx[p] = max(mx[2p], mx[2p + 1]) + pend[p]
+
+An add bumps the O(log size) canonical nodes that tile its range, then
+recomputes the nodes above them, which all lie on the root paths of the
+range's first and last leaf. Pending adds stay where they are: only the
+root is ever read, and it already counts every add above each cell.
 """
 
 from __future__ import annotations
 
 __all__ = ["MaxAddSegmentTree"]
 
+_PAD = float("-inf")
+
 
 class MaxAddSegmentTree:
     """Range add / global max over ``size`` integer cells, all starting at 0.
 
-    Internally a 1-indexed recursive tree with lazy propagation. Each node
-    stores the maximum over its span and the leftmost cell index attaining
-    it; ties always resolve to the left, so ``peek_max`` is deterministic.
+    Each node stores the maximum over its span and the leftmost cell index
+    attaining it; ties always resolve to the left, so ``peek_max`` is
+    deterministic.
     """
 
-    __slots__ = ("_n", "_mx", "_mi", "_lazy")
+    __slots__ = ("_n", "_base", "_mx", "_mi", "_pend")
 
     def __init__(self, size: int):
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
+        base = 1 << (size - 1).bit_length()
+        # level by level from the root: a node of width w at level position
+        # k covers cells [k*w, (k+1)*w), is 0 if any of them is real, and
+        # its leftmost cell is its argmax
+        mx = [_PAD]
+        mi = [0]
+        width = base
+        while width:
+            real = -(-size // width)
+            mx += [0] * real
+            mx += [_PAD] * (base // width - real)
+            mi += range(0, base, width)
+            width //= 2
         self._n = size
-        self._mx = [0] * (4 * size)
-        self._mi = [0] * (4 * size)
-        self._lazy = [0] * (4 * size)
-        self._build(1, 0, size)
+        self._base = base
+        self._mx = mx
+        self._mi = mi
+        self._pend = [0] * (2 * base)
 
     @property
     def size(self) -> int:
         return self._n
 
-    def _build(self, node: int, lo: int, hi: int) -> None:
-        if hi - lo == 1:
-            self._mi[node] = lo
-            return
-        mid = (lo + hi) // 2
-        self._build(2 * node, lo, mid)
-        self._build(2 * node + 1, mid, hi)
-        self._mi[node] = self._mi[2 * node]
-
     def add(self, lo: int, hi: int, delta: int) -> None:
         """Add ``delta`` to every cell in the half-open range [lo, hi)."""
         if not (0 <= lo < hi <= self._n):
             raise ValueError(f"bad range [{lo}, {hi}) for size {self._n}")
-        self._add(1, 0, self._n, lo, hi, delta)
-
-    def _add(self, node: int, nlo: int, nhi: int, lo: int, hi: int, delta: int) -> None:
-        if lo <= nlo and nhi <= hi:
-            self._mx[node] += delta
-            self._lazy[node] += delta
-            return
-        self._push(node)
-        mid = (nlo + nhi) // 2
-        if lo < mid:
-            self._add(2 * node, nlo, mid, lo, min(hi, mid), delta)
-        if hi > mid:
-            self._add(2 * node + 1, mid, nhi, max(lo, mid), hi, delta)
-        left, right = 2 * node, 2 * node + 1
-        if self._mx[left] >= self._mx[right]:
-            self._mx[node] = self._mx[left]
-            self._mi[node] = self._mi[left]
-        else:
-            self._mx[node] = self._mx[right]
-            self._mi[node] = self._mi[right]
-
-    def _push(self, node: int) -> None:
-        lz = self._lazy[node]
-        if lz:
-            for child in (2 * node, 2 * node + 1):
-                self._mx[child] += lz
-                self._lazy[child] += lz
-            self._lazy[node] = 0
+        mx = self._mx
+        mi = self._mi
+        pend = self._pend
+        base = self._base
+        lo += base
+        hi += base
+        left = lo >> 1  # parents of the first and the last leaf in range
+        right = (hi - 1) >> 1
+        while lo < hi:  # bump the canonical nodes; pend is only read above leaves
+            if lo & 1:
+                mx[lo] += delta
+                pend[lo] += delta
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                mx[hi] += delta
+                pend[hi] += delta
+            lo >>= 1
+            hi >>= 1
+        # recompute both boundary paths bottom-up, then their common part
+        while left != right:
+            c = 2 * left
+            a = mx[c]
+            b = mx[c + 1]
+            if a < b:  # ties go left
+                a = b
+                c += 1
+            mx[left] = a + pend[left]
+            mi[left] = mi[c]
+            c = 2 * right
+            a = mx[c]
+            b = mx[c + 1]
+            if a < b:
+                a = b
+                c += 1
+            mx[right] = a + pend[right]
+            mi[right] = mi[c]
+            left >>= 1
+            right >>= 1
+        while left:
+            c = 2 * left
+            a = mx[c]
+            b = mx[c + 1]
+            if a < b:
+                a = b
+                c += 1
+            mx[left] = a + pend[left]
+            mi[left] = mi[c]
+            left >>= 1
 
     def peek_max(self) -> tuple[int, int]:
         """Return (maximum value, leftmost cell index attaining it)."""

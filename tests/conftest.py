@@ -56,6 +56,16 @@ def equal_squares(n, seed):
     return out
 
 
+def snapped_boxes(rng, n, grid):
+    """``n`` random boxes with corners on the integer grid 0..grid."""
+    rects = []
+    for _ in range(n):
+        x1, x2 = sorted(rng.sample(range(grid + 1), 2))
+        y1, y2 = sorted(rng.sample(range(grid + 1), 2))
+        rects.append(mk(x1, y1, x2, y2))
+    return rects
+
+
 def crossing_bars(k):
     """``k`` vertical bars crossing ``k`` horizontal ones: the graph is K_{k,k}
     and no bar contains another."""

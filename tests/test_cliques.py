@@ -12,7 +12,7 @@ from rectcover.geometry import filter_dominated, generate_instance
 from rectcover.graph import build_graph
 from rectcover.oracles import max_clique_candidates, simplicial_scan
 
-from conftest import check_remembered_search, crossing_bars, equal_squares, mk
+from conftest import check_remembered_search, crossing_bars, equal_squares, mk, snapped_boxes
 
 
 def quadratic_budget(k):
@@ -80,6 +80,36 @@ def test_max_clique_stab_hits_exactly_members():
             if r.contains_point_open(w.stab)
         }
         assert hit == set(w.members)
+
+
+def _first_deepest_cell(rects):
+    """The deepest elementary cell, scanning y-gaps from the top and, within
+    a gap, x-cells from the left; a later cell wins only if strictly deeper."""
+    xs = sorted({r.lo.x for r in rects} | {r.hi.x for r in rects})
+    ys = sorted({r.lo.y for r in rects} | {r.hi.y for r in rects})
+    best = (0, None)
+    for cy in reversed(range(len(ys) - 1)):
+        for cx in range(len(xs) - 1):
+            depth = sum(
+                r.lo.x <= xs[cx] and xs[cx + 1] <= r.hi.x
+                and r.lo.y <= ys[cy] and ys[cy + 1] <= r.hi.y
+                for r in rects
+            )
+            if depth > best[0]:
+                best = (depth, (xs[cx], xs[cx + 1], ys[cy], ys[cy + 1]))
+    return best
+
+
+def test_max_clique_tie_order_matches_cell_scan():
+    # integer corners tie often: many cells share the maximum depth, and the
+    # sweep must pick the topmost y-gap, then the leftmost x-cell in it
+    rng = random.Random(2024)
+    for t in range(150):
+        rects = snapped_boxes(rng, rng.randrange(1, 30), rng.choice((3, 4, 6, 9)))
+        w = max_clique_sweep(rects)
+        depth, (x0, x1, y0, y1) = _first_deepest_cell(rects)
+        assert w.size == depth, t
+        assert x0 < w.stab.x < x1 and y0 < w.stab.y < y1, t
 
 
 # ------------------------------------------------------- simplicial search

@@ -18,7 +18,7 @@ from rectcover.geometry import (
     make_rectangle,
 )
 
-from conftest import first_kept_inside, inst_of, mk
+from conftest import first_kept_inside, inst_of, mk, snapped_boxes
 
 
 # ---------------------------------------------------------------- rectangles
@@ -229,16 +229,6 @@ def test_filter_dominated_idempotent():
         assert kept2 == list(range(len(survivors)))
 
 
-def _snapped(rng, n, grid):
-    """``n`` random boxes with corners on the integer grid 0..grid."""
-    rects = []
-    for _ in range(n):
-        x1, x2 = sorted(rng.sample(range(grid + 1), 2))
-        y1, y2 = sorted(rng.sample(range(grid + 1), 2))
-        rects.append(mk(x1, y1, x2, y2))
-    return rects
-
-
 def test_filter_dominated_matches_naive():
     for seed in range(12):
         instance = generate_instance(90, seed=1000 + seed)
@@ -247,7 +237,7 @@ def test_filter_dominated_matches_naive():
     # the larger ones span more than one 256-row block
     rng = random.Random(77)
     for n, grid in ((40, 3), (90, 5), (300, 4), (600, 8)):
-        rects = _snapped(rng, n, grid)
+        rects = snapped_boxes(rng, n, grid)
         assert filter_dominated(rects) == first_kept_inside(rects), (n, grid)
 
 

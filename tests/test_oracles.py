@@ -6,6 +6,7 @@ They only scale to tiny instances, which is all the cross-check needs.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -168,6 +169,24 @@ def test_exact_mcc_disjoint():
     size, points = exact_mcc(rects)
     assert size == 5
     assert verify_cover(rects, points)
+
+
+def test_one_ulp_cells_get_points_inside():
+    # the x-cell [0.5, u] is one ulp wide, so its midpoint rounds onto 0.5,
+    # where a box starts or ends; no lower coordinate sits one ulp below an
+    # upper one, so both instances are inside the float contract
+    u = math.nextafter(0.5, 1.0)
+    rects = [mk(0.2, 0, 0.5, 1), mk(0.5, 0, 0.9, 1), mk(u, 2, 0.95, 3)]
+    build_graph(rects)
+    size, points = exact_mcc(rects)
+    assert size == 3
+    assert verify_cover(rects, points)
+
+    rects = [mk(0.2, 0, 0.7, 1), mk(0.5, 0, 0.9, 1), mk(u, 2, 0.8, 3)]
+    build_graph(rects)
+    w = max_clique_candidates(rects)
+    assert w.members == (0, 1)
+    assert all(rects[i].contains_point_open(w.stab) for i in w.members)
 
 
 def test_exact_mcc_matches_brute_force():

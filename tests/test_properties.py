@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from rectcover.geometry import UnstabbableOverlapError, filter_dominated
 from rectcover.graph import build_graph
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
-from rectcover.oracles import exact_mcc, exact_mis, verify_cover, verify_independent
+from rectcover.oracles import (
+    exact_mcc,
+    exact_mis,
+    max_clique_candidates,
+    verify_cover,
+    verify_independent,
+)
 
 from conftest import check_remembered_search, first_kept_inside, inst_of, mk
 
@@ -54,7 +60,11 @@ def test_outputs_verify_and_sandwich_the_optima(rects):
         opt_independent = exact_mis(build_graph(rects))[0]
     except UnstabbableOverlapError:
         return
-    opt_cover = exact_mcc(rects)[0]
+    opt_cover, cover_points = exact_mcc(rects)
+    assert verify_cover(rects, cover_points)
+    if rects:
+        clique = max_clique_candidates(rects)
+        assert all(rects[i].contains_point_open(clique.stab) for i in clique.members)
     assert max(r.size for r in sets) <= opt_independent <= opt_cover
     assert opt_cover <= min(r.size for r in covers)
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectcover.segtree import MaxAddSegmentTree
 
@@ -54,3 +56,85 @@ def test_matches_array_simulation(size):
             array[i] += delta
         best = max(array)
         assert tree.peek_max() == (best, array.index(best))
+
+
+# ------------------------------------------- padding to a power of two
+
+PADDED_SIZES = [1, 2, 3, 4, 5, 8, 9, 16, 17, 255, 256, 257]
+
+
+def _expected(array):
+    best = max(array)
+    return best, array.index(best)
+
+
+@pytest.mark.parametrize("size", PADDED_SIZES)
+def test_padding_never_wins_when_all_cells_negative(size):
+    tree = MaxAddSegmentTree(size)
+    tree.add(0, size, -5)
+    array = [-5] * size
+    assert tree.peek_max() == (-5, 0)
+    # push every cell further down, the last one least, one range at a time
+    for lo in range(0, size, 7):
+        hi = min(lo + 7, size)
+        tree.add(lo, hi, -(size - lo))
+        for i in range(lo, hi):
+            array[i] -= size - lo
+        assert tree.peek_max() == _expected(array)
+    assert tree.peek_max()[1] == (size - 1) // 7 * 7
+
+
+@pytest.mark.parametrize("size", PADDED_SIZES)
+def test_maximum_in_last_real_cell(size):
+    tree = MaxAddSegmentTree(size)
+    tree.add(size - 1, size, 3)
+    assert tree.peek_max() == (3, size - 1)
+    tree.add(0, size, -10)
+    assert tree.peek_max() == (-7, size - 1)
+    if size > 1:
+        tree.add(0, size - 1, 3)
+        assert tree.peek_max() == (-7, 0)  # a tie goes left
+        tree.add(size - 2, size, -1)
+        tree.add(size - 1, size, 2)
+        assert tree.peek_max() == (-6, size - 1)
+
+
+@pytest.mark.parametrize("size", PADDED_SIZES)
+def test_padded_sizes_match_array_simulation(size):
+    rng = random.Random(size * 131 + 7)
+    tree = MaxAddSegmentTree(size)
+    array = [0] * size
+    assert tree.size == size
+    for _ in range(300):
+        lo = rng.randrange(size)
+        hi = rng.randrange(lo + 1, size + 1)
+        delta = rng.randint(-4, 3)
+        tree.add(lo, hi, delta)
+        for i in range(lo, hi):
+            array[i] += delta
+        assert tree.peek_max() == _expected(array)
+    with pytest.raises(ValueError):
+        tree.add(0, size + 1, 1)
+
+
+@st.composite
+def add_sequences(draw):
+    size = draw(st.sampled_from(PADDED_SIZES[:-3]) | st.integers(1, 40))
+    ranges = st.tuples(st.integers(0, size - 1), st.integers(1, size)).map(
+        lambda ab: (min(ab[0], ab[1] - 1), max(ab[0] + 1, ab[1]))
+    )
+    ops = draw(st.lists(st.tuples(ranges, st.integers(-5, 5)), max_size=60))
+    return size, ops
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(add_sequences())
+def test_random_adds_match_array_simulation(case):
+    size, ops = case
+    tree = MaxAddSegmentTree(size)
+    array = [0] * size
+    for (lo, hi), delta in ops:
+        tree.add(lo, hi, delta)
+        for i in range(lo, hi):
+            array[i] += delta
+        assert tree.peek_max() == _expected(array)
