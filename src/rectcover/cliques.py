@@ -148,28 +148,32 @@ def find_simplicial(
 
     A vertex is simplicial when its closed neighborhood is a clique.
     Vertices are visited in increasing order of current degree (ties to the
-    lowest id), and the first simplicial one is returned. Clique tests go
-    through ``g.closed_clique_test``, whose answers the view remembers across
-    searches and deletions: known non-cliques are skipped, and only vertices
-    of unknown answer are tested.
+    lowest id) by walking ``g.degree_classes()`` in order, each class in id
+    order, and the first simplicial one is returned. Clique tests go through
+    ``g.closed_clique_test``, whose answers the view remembers across
+    searches and deletions: known non-cliques are masked out of each class,
+    and only vertices of unknown answer are tested.
 
     ``rects`` must be indexed by vertex id of the base graph. The witness
     stab point is the center of the common intersection of the neighborhood,
     interior to every member by the Helly property.
     """
-    known_non_cliques = g.known_non_cliques
-    for v in g.vertices_by_degree():
-        if (known_non_cliques >> v) & 1:
-            continue
-        clique, read = g.closed_clique_test(v)
-        if stats is not None:
-            stats.entry_accesses += g.n * read
-        if clique:
-            members = bit_indices(g.neighborhood_mask(v))
-            box = common_intersection([rects[i] for i in members])
-            if box is None:
-                raise UnstabbableOverlapError(f"clique neighborhood of {v} has no common interior")
-            return SimplicialWitness(v, tuple(members), box.center())
+    unknown = ~g.known_non_cliques
+    for cls in g.degree_classes():
+        rest = cls & unknown
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            clique, read = g.closed_clique_test(v)
+            if stats is not None:
+                stats.entry_accesses += g.n * read
+            if clique:
+                members = bit_indices(g.neighborhood_mask(v))
+                box = common_intersection([rects[i] for i in members])
+                if box is None:
+                    raise UnstabbableOverlapError(f"clique neighborhood of {v} has no common interior")
+                return SimplicialWitness(v, tuple(members), box.center())
     return None
 
 

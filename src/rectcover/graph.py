@@ -3,15 +3,15 @@
 Adjacency rows are Python integers used as bitsets: bit ``j`` of row ``i``
 says rectangles ``i`` and ``j`` have open interiors that intersect. The
 diagonal is always clear. Vertex deletion is a logical mask: removing
-vertices produces a new view sharing the rows, with its own numpy array of
-live degrees; only the live neighbors of removed vertices change degree,
-each by its number of removed neighbors. A view also remembers the live
+vertices produces a new view sharing the rows. A view holds bitsets only:
+the live mask, the live vertices grouped into degree classes, and the live
 vertices known to have, and known not to have, a clique for their closed
-neighborhood. A clique stays one under deletion and an untouched
-neighborhood is unchanged, so a new view keeps the known cliques still live
-and the known non-cliques still live that lost no neighbor. Vertex ids
-always refer to the originally built graph, so a rectangle keeps its id
-across deletions.
+neighborhood. Only the live neighbors of removed vertices change degree, so
+a new view keeps every other vertex in its class and refiles those. A
+clique stays one under deletion and an untouched neighborhood is unchanged,
+so a new view keeps the known cliques still live and the known non-cliques
+still live that lost no neighbor. Vertex ids always refer to the originally
+built graph, so a rectangle keeps its id across deletions.
 
 The graph is built by one quadratic pairwise test, vectorized with numpy.
 On the kept sets the heuristics build graphs for, it is faster than a plane
@@ -42,16 +42,16 @@ def bit_indices(mask: int) -> list[int]:
 class IntersectionGraph:
     """Immutable view of an intersection graph, possibly with vertices removed.
 
-    Views are made by ``build_graph`` and ``remove_vertices``. ``degrees``
-    holds each live vertex's number of live neighbors, and -1 for each dead
-    vertex. Only ``closed_clique_test`` adds to the known (non-)cliques.
+    Views are made by ``build_graph`` and ``remove_vertices``. Entry ``d``
+    of ``degree_classes()`` is the bitset of live vertices with ``d`` live
+    neighbors. Only ``closed_clique_test`` adds to the known (non-)cliques.
     """
 
-    __slots__ = ("_rows", "_degrees", "_alive", "_cliques", "_non_cliques")
+    __slots__ = ("_rows", "_classes", "_alive", "_cliques", "_non_cliques")
 
-    def __init__(self, rows: list[int], degrees: np.ndarray, alive: int, cliques=0, non_cliques=0):
+    def __init__(self, rows: list[int], classes: list[int], alive: int, cliques=0, non_cliques=0):
         self._rows = rows
-        self._degrees = degrees
+        self._classes = classes
         self._alive = alive
         self._cliques = cliques
         self._non_cliques = non_cliques
@@ -71,13 +71,20 @@ class IntersectionGraph:
         """Unmasked adjacency rows of the base graph. Treat as read-only."""
         return self._rows
 
+    def degree_classes(self) -> list[int]:
+        """Bitsets of the live vertices of each degree, indexed by degree.
+
+        The last class is never empty; the list is empty when no vertex is
+        live. Treat as read-only.
+        """
+        return self._classes
+
     def vertices(self) -> list[int]:
-        return np.flatnonzero(self._degrees >= 0).tolist()
+        return bit_indices(self._alive)
 
     def vertices_by_degree(self) -> list[int]:
         """Live vertices in increasing order of degree, ties to the lowest id."""
-        live = np.flatnonzero(self._degrees >= 0)
-        return live[np.argsort(self._degrees[live], kind="stable")].tolist()
+        return [v for cls in self._classes for v in bit_indices(cls)]
 
     def is_live(self, v: int) -> bool:
         return 0 <= v < len(self._rows) and (self._alive >> v) & 1 == 1
@@ -93,7 +100,7 @@ class IntersectionGraph:
 
     def degree(self, v: int) -> int:
         self._check_live(v)
-        return int(self._degrees[v])
+        return (self._rows[v] & self._alive).bit_count()
 
     def closed_neighborhood(self, v: int) -> set[int]:
         """The vertex itself together with all its live neighbors."""
@@ -106,13 +113,13 @@ class IntersectionGraph:
 
     def max_degree_vertex(self) -> int | None:
         """Live vertex of maximum degree; ties go to the lowest id."""
-        if not self._alive:
+        if not self._classes:
             return None
-        return int(self._degrees.argmax())  # dead vertices hold negative degrees
+        top = self._classes[-1]
+        return (top & -top).bit_length() - 1
 
     def edge_count(self) -> int:
-        degrees = self._degrees
-        return int(degrees[degrees > 0].sum()) // 2
+        return sum(d * cls.bit_count() for d, cls in enumerate(self._classes)) // 2
 
     def edges(self):
         """Yield live edges as (u, v) pairs with u < v."""
@@ -169,17 +176,19 @@ class IntersectionGraph:
             dead = bit_indices(mask & ~self._alive)
             raise ValueError(f"cannot remove vertices not in the graph: {dead}")
         rows, alive = self._rows, self._alive & ~mask
-        gone = bit_indices(mask)
         touched = 0
-        for v in gone:
+        for v in bit_indices(mask):
             touched |= rows[v]
         touched &= alive
-        degrees = self._degrees.copy()
-        degrees[gone] = -1
+        # a touched vertex only loses degree, so its class is already listed
+        untouched = alive & ~touched
+        classes = [cls & untouched for cls in self._classes]
         for u in bit_indices(touched):
-            degrees[u] -= (rows[u] & mask).bit_count()
+            classes[(rows[u] & alive).bit_count()] |= 1 << u
+        while classes and not classes[-1]:
+            classes.pop()
         return IntersectionGraph(
-            rows, degrees, alive, self._cliques & alive, self._non_cliques & alive & ~touched
+            rows, classes, alive, self._cliques & alive, self._non_cliques & untouched
         )
 
     # -- equality (structural, for tests) ------------------------------
@@ -237,4 +246,7 @@ def build_graph(rects) -> IntersectionGraph:
     bounds = _bounds_arrays(rects)
     _check_stabbable(bounds)
     rows, degrees = _build_pairwise(bounds)
-    return IntersectionGraph(rows, degrees, (1 << len(rects)) - 1)
+    classes = [0] * (int(degrees.max()) + 1 if len(rects) else 0)
+    for v, d in enumerate(degrees.tolist()):
+        classes[d] |= 1 << v
+    return IntersectionGraph(rows, classes, (1 << len(rects)) - 1)

@@ -1,18 +1,19 @@
 """Brute-force ground truth for small instances.
 
 Every solver here is independent of the sweep/simplicial engine, sharing
-only its rule for a point inside a cell, and meant for verification at desk
-scale only. The shared discretization: rectangle membership is constant on
-each open cell of the grid induced by all distinct edge coordinates, so one
-point per cell forms a complete candidate set for piercing points and for
-depth counting. A cell's point follows the sweep's rule: the midpoint, or on
-a one-ulp-wide side a corner no box starts or ends at.
+only its rule for a point inside a cell and the float contract of
+``build_graph``, and meant for verification at desk scale only. The shared
+discretization: rectangle membership is constant on each open cell of the
+grid induced by all distinct edge coordinates, so one point per cell forms
+a complete candidate set for piercing points and for depth counting. A
+cell's point follows the sweep's rule: the midpoint, or on a one-ulp-wide
+side a corner no box starts or ends at.
 """
 
 from __future__ import annotations
 
 from .cliques import CliqueWitness, _inside
-from .geometry import Point, interiors_intersect
+from .geometry import Point, _bounds_arrays, _check_stabbable, interiors_intersect
 from .graph import IntersectionGraph, bit_indices
 
 __all__ = [
@@ -48,6 +49,13 @@ def _axis_cells(los, his):
 
 
 def _grid(rects):
+    """Cell points and coverage bitsets on both axes.
+
+    Raises:
+        UnstabbableOverlapError: if some lower coordinate is one ulp below
+            some upper coordinate on the same axis, as ``build_graph`` does.
+    """
+    _check_stabbable(_bounds_arrays(rects))
     cell_x, xmasks = _axis_cells([r.lo.x for r in rects], [r.hi.x for r in rects])
     cell_y, ymasks = _axis_cells([r.lo.y for r in rects], [r.hi.y for r in rects])
     return cell_x, xmasks, cell_y, ymasks
@@ -58,6 +66,10 @@ def max_clique_candidates(rects) -> CliqueWitness:
 
     Scans every elementary cell and counts the rectangles spanning it; the
     deepest cell's point is a stab point of a maximum clique.
+
+    Raises:
+        UnstabbableOverlapError: outside the float contract ``build_graph``
+            enforces.
     """
     rects = list(rects)
     if not rects:
@@ -125,6 +137,10 @@ def exact_mcc(rects, cap: int = DEFAULT_MCC_CAP) -> tuple[int, list[Point]]:
     Candidates are deduplicated by coverage set and pruned to maximal
     coverage sets, then searched by iterative deepening on the cover size
     below that of a greedy cover, which is returned if no smaller one exists.
+
+    Raises:
+        UnstabbableOverlapError: outside the float contract ``build_graph``
+            enforces.
     """
     rects = list(rects)
     n = len(rects)

@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from rectcover import heuristics
 from rectcover.cliques import (
     SimplicialSearchStats,
     find_simplicial,
@@ -10,9 +12,10 @@ from rectcover.cliques import (
 )
 from rectcover.geometry import filter_dominated, generate_instance
 from rectcover.graph import build_graph
+from rectcover.heuristics import gcc_i, mis_greedy
 from rectcover.oracles import max_clique_candidates, simplicial_scan
 
-from conftest import check_remembered_search, crossing_bars, equal_squares, mk, snapped_boxes
+from conftest import check_remembered_search, crossing_bars, equal_squares, inst_of, mk, snapped_boxes
 
 
 def quadratic_budget(k):
@@ -208,6 +211,46 @@ def test_simplicial_memo_agrees_with_fresh_search(frame4):
         check_remembered_search(equal_squares(60, 3200 + seed), seed)
         check_remembered_search(crossing_bars(12), seed)
         check_remembered_search(frame4, seed)
+
+
+# Work of every simplicial search in whole peels, pinned from the search that
+# sorted the live vertices by degree each round: searches made, the first 16
+# hex digits of a sha256 of repr() of the witness vertices in order (None
+# for a failed search), and the summed entry_accesses. A search that visits
+# the same vertices in the same order makes the same clique tests, so it
+# reads the same rows.
+SEARCH_WORK = {
+    ("uniform", mis_greedy): (65, "38e1ca2c98928fca", 79946),
+    ("uniform", gcc_i): (39, "ea0cc0308d748658", 35005),
+    ("squares", mis_greedy): (92, "dade6b38f0ce5d0b", 453365),
+    ("squares", gcc_i): (33, "297e6e3ee066f442", 136368),
+    ("bars", mis_greedy): (23, "9d5cdb84a64932c6", 5684),
+    ("bars", gcc_i): (12, "2c378f89932087a5", 5196),
+}
+
+
+def _search_work_instance(family):
+    if family == "uniform":
+        return generate_instance(300, seed=5150)
+    if family == "squares":
+        return inst_of(equal_squares(200, 5151))
+    return inst_of(crossing_bars(12))
+
+
+@pytest.mark.parametrize("family, algo", list(SEARCH_WORK), ids=lambda p: getattr(p, "__name__", p))
+def test_search_work_pinned(family, algo, monkeypatch):
+    stats = SimplicialSearchStats()
+    witnesses = []
+
+    def counted(g, rects):
+        w = find_simplicial(g, rects, stats=stats)
+        witnesses.append(None if w is None else w.vertex)
+        return w
+
+    monkeypatch.setattr(heuristics, "find_simplicial", counted)
+    algo(_search_work_instance(family))
+    digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
+    assert (len(witnesses), digest, stats.entry_accesses) == SEARCH_WORK[family, algo]
 
 
 # ------------------------------------------------------------------ cliques

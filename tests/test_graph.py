@@ -126,48 +126,57 @@ def test_rows_past_the_first_row_block():
 
 
 def _scans(g):
-    # degrees, degree order, maximum-degree vertex and edge count of a view,
-    # by plain scans over the raw adjacency rows
+    # degree classes, degree order, maximum-degree vertex and edge count of
+    # a view, by plain scans over the raw adjacency rows
     rows, alive = g.raw_adjacency(), g.alive_mask
     live = bit_indices(alive)
     degrees = {v: (rows[v] & alive).bit_count() for v in live}
+    classes = [0] * (max(degrees.values()) + 1 if live else 0)
+    for v, d in degrees.items():
+        classes[d] |= 1 << v
     by_degree = sorted(live, key=lambda v: (degrees[v], v))
     top = max(live, key=lambda v: (degrees[v], -v)) if live else None
-    return degrees, by_degree, top, sum(degrees.values()) // 2
+    return classes, by_degree, top, sum(degrees.values()) // 2
 
 
 def _state(g):
-    live = g.vertices()
-    degrees = {v: g.degree(v) for v in live}
-    return degrees, g.vertices_by_degree(), g.max_degree_vertex(), g.edge_count()
+    # the same, as the view keeps them: every live vertex in exactly the
+    # class of its degree, no dead vertex in any class, and no empty class
+    # at the end
+    return g.degree_classes(), g.vertices_by_degree(), g.max_degree_vertex(), g.edge_count()
+
+
+def _far(rects):
+    # the rectangles moved far to the right of everything else
+    return [mk(r.lo.x + 100, r.lo.y, r.hi.x + 100, r.hi.y) for r in rects]
 
 
 def _family(family, seed):
-    # the rectangles, and a component of them to delete whole in one batch
+    # the rectangles, the last six of them a far-away K_{3,3} whose deletion
+    # in one batch touches no live vertex
     if family == "uniform":
-        return list(generate_instance(60, seed=700 + seed).rects), []
-    if family == "squares":
-        return equal_squares(60, 800 + seed), []
-    # K_{12,12} plus a far-away K_{3,3}, whose deletion touches no live vertex
-    far = [mk(r.lo.x + 100, r.lo.y, r.hi.x + 100, r.hi.y) for r in crossing_bars(3)]
-    return crossing_bars(12) + far, list(range(24, 30))
+        rects = list(generate_instance(60, seed=700 + seed).rects)
+    elif family == "squares":
+        rects = equal_squares(60, 800 + seed)
+    else:
+        rects = crossing_bars(12)  # K_{12,12}
+    return rects + _far(crossing_bars(3))
 
 
 @pytest.mark.parametrize("family", ["uniform", "squares", "bars"])
 def test_degree_state_matches_scans_under_deletion(family):
     for seed in range(12):
-        rects, component = _family(family, seed)
+        rects = _family(family, seed)
         g = build_graph(rects)
         views = [g]
         rng = random.Random(seed)
         # first drop the maximum-degree vertex, so a dead vertex held the
-        # highest degree, then any whole component, then random batches
-        # down to nothing
+        # highest degree, then the far component, then random batches down
+        # to nothing
         h = g.remove_vertices([g.max_degree_vertex()])
         views.append(h)
-        if component:
-            h = h.remove_vertices(component)
-            views.append(h)
+        h = h.remove_vertices(range(len(rects) - 6, len(rects)))
+        views.append(h)
         while h.n:
             live = h.vertices()
             h = h.remove_vertices(rng.sample(live, min(len(live), rng.randint(1, 6))))
@@ -175,6 +184,18 @@ def test_degree_state_matches_scans_under_deletion(family):
         # checked after all deletions, so no view is changed by a later one
         for view in views:
             assert _state(view) == _scans(view), (family, seed, view.n)
+
+
+def test_untouched_deletion_trims_empty_top_classes():
+    # deleting a far K_{3,3} whole touches no live vertex but empties the
+    # classes above the K_{2,2} left behind
+    rects = crossing_bars(2) + _far(crossing_bars(3))
+    g = build_graph(rects)
+    assert g.degree_classes() == [0, 0, 0b1111, 0b1111110000]
+    h = g.remove_vertices(range(4, 10))
+    assert h.degree_classes() == [0, 0, 0b1111]
+    assert h.max_degree_vertex() == 0
+    assert h.remove_vertices(range(4)).degree_classes() == []
 
 
 def test_remove_repeated_vertex_counts_it_once(triangle):

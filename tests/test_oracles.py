@@ -12,6 +12,7 @@ import pytest
 
 from rectcover.geometry import (
     Point,
+    UnstabbableOverlapError,
     filter_dominated,
     generate_instance,
     interiors_intersect,
@@ -187,6 +188,19 @@ def test_one_ulp_cells_get_points_inside():
     w = max_clique_candidates(rects)
     assert w.members == (0, 1)
     assert all(rects[i].contains_point_open(w.stab) for i in w.members)
+
+
+def test_oracles_reject_unstabbable_overlap():
+    # a lower coordinate one ulp below an upper one: the overlap of the two
+    # boxes has no double inside it, so no valid point exists
+    u = math.nextafter(0.5, 1.0)
+    rects = [mk(0.2, 0, u, 1), mk(0.5, 0, 0.9, 1)]
+    with pytest.raises(UnstabbableOverlapError):
+        build_graph(rects)
+    with pytest.raises(UnstabbableOverlapError):
+        exact_mcc(rects)
+    with pytest.raises(UnstabbableOverlapError):
+        max_clique_candidates(rects)
 
 
 def test_exact_mcc_matches_brute_force():
