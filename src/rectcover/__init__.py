@@ -22,7 +22,6 @@ from .cliques import (
     SimplicialSearchStats,
     SimplicialWitness,
     find_simplicial,
-    is_clique,
     max_clique_sweep,
 )
 from .geometry import (
@@ -94,7 +93,6 @@ __all__ = [
     "gcc_i",
     "generate_instance",
     "interiors_intersect",
-    "is_clique",
     "load_instance",
     "loads_instance",
     "make_rectangle",

@@ -172,14 +172,11 @@ def format_csv(rows: Sequence[BenchRow], timings: bool = False) -> str:
     """Render aggregate rows as CSV.
 
     Mean sizes use four decimal places so reruns are byte-identical. Timing
-    columns are opt-in because they are inherently non-reproducible; the
-    trailing ``external_baseline`` column is a placeholder for results imported
-    from other tools and is always empty here.
+    columns are opt-in because they are inherently non-reproducible.
     """
     header = ["n", "trials", "gcc", "gcc_i", "mis", "mis_i", "ratio_gcci_mis", "two_sqrt_n", "three_sqrt_n"]
     if timings:
         header += ["t_gcc_ms", "t_gcc_i_ms", "t_mis_ms", "t_mis_i_ms"]
-    header.append("external_baseline")
     lines = [",".join(header)]
 
     def fmt(value: float | None) -> str:
@@ -197,7 +194,6 @@ def format_csv(rows: Sequence[BenchRow], timings: bool = False) -> str:
         cells.append(fmt(3.0 * math.sqrt(row.n)))
         if timings:
             cells += [fmt(row.mean_ms.get(key)) for _, key in _CSV_ALGO_COLS]
-        cells.append("")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -216,7 +212,6 @@ def verify_random(
     base_seed: int,
     mis_cap: int = 25,
     mcc_cap: int = 18,
-    inject_fault: bool = False,
 ) -> list[str]:
     """Cross-check heuristics and sweeps against the exact oracles.
 
@@ -226,9 +221,6 @@ def verify_random(
     heuristic output is valid; and the size sandwich
     ``mis <= exact MIS <= exact cover <= gcc-i`` holds. Returns a list of
     violation descriptions (empty means all checks passed).
-
-    ``inject_fault`` deliberately corrupts one comparison, for testing the
-    failure path end to end.
     """
     from .cliques import find_simplicial, max_clique_sweep
     from .graph import build_graph
@@ -242,12 +234,8 @@ def verify_random(
 
         sweep = max_clique_sweep(instance.rects) if instance.n else None
         cand = max_clique_candidates(instance.rects) if instance.n else None
-        if sweep is not None and cand is not None:
-            sweep_size = sweep.size + (1 if inject_fault else 0)
-            if sweep_size != cand.size:
-                violations.append(
-                    f"{tag} sweep max clique {sweep_size} != oracle {cand.size}"
-                )
+        if sweep is not None and cand is not None and sweep.size != cand.size:
+            violations.append(f"{tag} sweep max clique {sweep.size} != oracle {cand.size}")
 
         graph = build_graph(instance.rects)
         scan = simplicial_scan(graph)

@@ -44,9 +44,10 @@ def _parse_region(text: str) -> Region:
         x_min, x_max, y_min, y_max = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"region {text!r} has a non-numeric bound")
-    if not (x_min < x_max and y_min < y_max):
-        raise argparse.ArgumentTypeError(f"region {text!r} is empty")
-    return Region(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max)
+    try:
+        return Region(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _at_least(low: int):
@@ -96,18 +97,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_for_solve(args: argparse.Namespace) -> Instance | None:
+def _load_for_solve(args: argparse.Namespace) -> Instance:
     if args.file is not None:
         return load_instance(args.file)
-    if args.n is not None:
-        return generate_instance(args.n, region=args.region, seed=args.seed)
-    return None
+    return generate_instance(args.n, region=args.region, seed=args.seed)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_for_solve(args)
-    if instance is None:
-        return _fail("solve needs --file or --n")
     result = ALGORITHMS[args.algo](instance)
     record = run_algorithm(args.algo, instance, result=result)
     seed = instance.seed
@@ -154,16 +151,9 @@ plot {csv!r} using 1:3 with linespoints, \\
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    max_n = max(args.n_list)
-    if max_n > _LARGE_N and not args.allow_large:
+    if max(args.n_list) > _LARGE_N and not args.allow_large:
         return _fail(
             f"sizes above {_LARGE_N} can take minutes; pass --allow-large to proceed"
-        )
-    simplicial = [a for a in args.algos if a != "gcc"]
-    if simplicial and max_n > args.simplicial_cap:
-        return _fail(
-            f"algorithms {', '.join(simplicial)} are capped at n={args.simplicial_cap} "
-            f"(raise with --simplicial-cap)"
         )
     if args.gnuplot is not None and args.out is None:
         return _fail("--gnuplot needs --out so the script has a data file to read")
@@ -203,7 +193,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.seed,
         mis_cap=args.mis_cap,
         mcc_cap=args.mcc_cap,
-        inject_fault=args.inject_fault,
     )
     if violations:
         for v in violations:
@@ -235,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one algorithm on one instance")
     solve.add_argument("--algo", choices=sorted(ALGORITHMS), required=True)
-    solve.add_argument("--file", type=Path, default=None, help="instance file to read")
-    solve.add_argument("--n", type=_at_least(0), default=None, help="generate an instance of this size")
+    source = solve.add_mutually_exclusive_group(required=True)
+    source.add_argument("--file", type=Path, help="instance file to read")
+    source.add_argument("--n", type=_at_least(0), help="generate an instance of this size")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument(
         "--region", type=_parse_region, default=Region(0.0, 1.0, 0.0, 1.0)
@@ -266,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"permit sizes above {_LARGE_N}",
     )
     bench.add_argument(
-        "--simplicial-cap",
-        type=_at_least(0),
-        default=20000,
-        help="largest size allowed for the simplicial-search algorithms",
-    )
-    bench.add_argument(
         "--gnuplot", type=Path, default=None, help="write a gnuplot script next to the CSV"
     )
     bench.add_argument("--progress", action="store_true", help="report progress on stderr")
@@ -283,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--mis-cap", type=_at_least(0), default=DEFAULT_MIS_CAP)
     verify.add_argument("--mcc-cap", type=_at_least(0), default=DEFAULT_MCC_CAP)
-    verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -20,7 +20,6 @@ __all__ = [
     "SimplicialSearchStats",
     "max_clique_sweep",
     "find_simplicial",
-    "is_clique",
 ]
 
 
@@ -176,20 +175,3 @@ def find_simplicial(
                 return SimplicialWitness(v, tuple(members), box.center())
     return None
 
-
-def is_clique(g: IntersectionGraph, vertices) -> bool:
-    """True if the given live vertices are pairwise adjacent.
-
-    The empty set and singletons count as cliques.
-    """
-    vs = list(vertices)
-    mask = 0
-    for v in vs:
-        if not g.is_live(v):
-            raise ValueError(f"vertex {v} is not a live vertex of this graph")
-        mask |= 1 << v
-    rows = g.raw_adjacency()
-    for v in vs:
-        if mask & ~(rows[v] | (1 << v)):
-            return False
-    return True

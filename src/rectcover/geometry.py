@@ -104,6 +104,9 @@ class Region:
     y_max: float
 
     def __post_init__(self) -> None:
+        # a finite width and height keep uniform draws finite
+        if not (math.isfinite(self.x_max - self.x_min) and math.isfinite(self.y_max - self.y_min)):
+            raise ValueError(f"region bounds and extent must be finite: {self}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"empty region: {self}")
 

@@ -82,10 +82,6 @@ class IntersectionGraph:
     def vertices(self) -> list[int]:
         return bit_indices(self._alive)
 
-    def vertices_by_degree(self) -> list[int]:
-        """Live vertices in increasing order of degree, ties to the lowest id."""
-        return [v for cls in self._classes for v in bit_indices(cls)]
-
     def is_live(self, v: int) -> bool:
         return 0 <= v < len(self._rows) and (self._alive >> v) & 1 == 1
 
@@ -120,14 +116,6 @@ class IntersectionGraph:
 
     def edge_count(self) -> int:
         return sum(d * cls.bit_count() for d, cls in enumerate(self._classes)) // 2
-
-    def edges(self):
-        """Yield live edges as (u, v) pairs with u < v."""
-        alive = self._alive
-        for u in bit_indices(alive):
-            higher = self._rows[u] & alive & ~((1 << (u + 1)) - 1)
-            for v in bit_indices(higher):
-                yield (u, v)
 
     # -- remembered clique tests ---------------------------------------
 

@@ -78,12 +78,15 @@ def loads_instance(text: str) -> Instance:
             f"header declares {count} rectangles but file contains {len(rects)}"
         )
     if rects:
-        region = Region(
-            x_min=min(r.lo.x for r in rects),
-            x_max=max(r.hi.x for r in rects),
-            y_min=min(r.lo.y for r in rects),
-            y_max=max(r.hi.y for r in rects),
-        )
+        try:
+            region = Region(
+                x_min=min(r.lo.x for r in rects),
+                x_max=max(r.hi.x for r in rects),
+                y_min=min(r.lo.y for r in rects),
+                y_max=max(r.hi.y for r in rects),
+            )
+        except ValueError:
+            raise InstanceFormatError("coordinates span more than the float range") from None
     else:
         region = UNIT_SQUARE
     return Instance(rects=tuple(rects), seed=None, region=region, n_requested=count)

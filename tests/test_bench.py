@@ -1,6 +1,8 @@
 import math
 import statistics
+from types import SimpleNamespace
 
+from rectcover import oracles
 from rectcover.bench import (
     BenchRow,
     format_csv,
@@ -55,14 +57,14 @@ def test_format_csv_layout():
     text = format_csv([row])
     lines = text.strip().split("\n")
     assert lines[0] == (
-        "n,trials,gcc,gcc_i,mis,mis_i,ratio_gcci_mis,two_sqrt_n,three_sqrt_n,external_baseline"
+        "n,trials,gcc,gcc_i,mis,mis_i,ratio_gcci_mis,two_sqrt_n,three_sqrt_n"
     )
     cells = lines[1].split(",")
     assert cells[0] == "100" and cells[1] == "5"
     assert cells[2] == "12.0000" and cells[5] == "8.2500"
     assert cells[6] == "1.1667"
     assert cells[7] == "20.0000" and cells[8] == "30.0000"
-    assert cells[9] == ""  # placeholder column stays empty
+    assert len(cells) == 9
 
 
 def test_format_csv_timings_opt_in():
@@ -100,7 +102,12 @@ def test_verify_random_vacuous():
     assert verify_random(0, 15, base_seed=1) == []
 
 
-def test_verify_random_inject_fault():
-    violations = verify_random(2, 11, base_seed=2, inject_fault=True)
-    assert violations
-    assert any("sweep" in v for v in violations)
+def test_verify_random_inject_fault(monkeypatch):
+    # an oracle that counts one too many makes the sweep disagree with it
+    real = oracles.max_clique_candidates
+    monkeypatch.setattr(
+        oracles, "max_clique_candidates", lambda rects: SimpleNamespace(size=real(rects).size + 1)
+    )
+    violations = verify_random(2, 11, base_seed=2)
+    assert len(violations) == 2
+    assert all("sweep max clique" in v for v in violations)

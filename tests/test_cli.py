@@ -1,11 +1,14 @@
-"""End-to-end command-line tests; everything runs in a subprocess."""
+"""End-to-end command-line tests; all but one run in a subprocess."""
 
 import json
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
+
+from rectcover import cli, oracles
 
 CHAIN_FILE = "n 3\n0.0 0.0 3.0 1.0\n2.0 0.0 5.0 1.0\n4.0 0.0 7.0 1.0\n"
 
@@ -165,7 +168,7 @@ def test_bench_csv_deterministic(tmp_path):
     lines = a.stdout.strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("n,trials,gcc,")
-    assert lines[0].endswith(",external_baseline")
+    assert lines[0].endswith(",three_sqrt_n")
     # rerunning one size alone reproduces that row
     c = run_cli("bench", "--n-list", "60", "--trials", 3, "--seed", 4)
     assert c.stdout.strip().split("\n")[1] == lines[2]
@@ -197,12 +200,6 @@ def test_bench_large_needs_flag():
     assert "allow-large" in proc.stderr
 
 
-def test_bench_simplicial_cap():
-    proc = run_cli("bench", "--n-list", "25000", "--trials", 1, "--allow-large")
-    assert proc.returncode == 2
-    assert "simplicial" in proc.stderr.lower()
-
-
 def test_bench_gnuplot(tmp_path):
     out = tmp_path / "agg.csv"
     script = tmp_path / "plot.gp"
@@ -228,10 +225,11 @@ def test_verify_zero_count_vacuous():
     assert proc.returncode == 0
 
 
-def test_verify_inject_fault():
-    proc = run_cli("verify", "--count", 1, "--n", 10, "--inject-fault")
-    assert proc.returncode == 1
-    assert "FAIL" in proc.stderr
+def test_verify_inject_fault(monkeypatch, capsys):
+    # in process, so the oracle can be made to disagree with the sweep
+    monkeypatch.setattr(oracles, "max_clique_candidates", lambda rects: SimpleNamespace(size=0))
+    assert cli.main(["verify", "--count", "1", "--n", "10"]) == 1
+    assert "FAIL" in capsys.readouterr().err
 
 
 def test_verify_size_capped():
@@ -247,9 +245,12 @@ def test_verify_size_capped():
         ("verify", "--n", -3),
         ("verify", "--count", -1),
         ("bench", "--trials", 0),
-        ("bench", "--simplicial-cap", -1),
         ("verify", "--mis-cap", -1),
         ("verify", "--mcc-cap", -1),
+        ("gen", "--n", 3, "--region", "0,inf,0,1"),
+        ("gen", "--n", 3, "--region=-1e308,1e308,0,1"),
+        ("solve", "--algo", "gcc", "--file", "chain.txt", "--n", 3),
+        ("solve", "--algo", "gcc"),
     ],
     ids=[
         "gen-n",
@@ -257,13 +258,17 @@ def test_verify_size_capped():
         "verify-n",
         "verify-count",
         "bench-trials",
-        "bench-simplicial-cap",
         "verify-mis-cap",
         "verify-mcc-cap",
+        "gen-region-inf",
+        "gen-region-overflow",
+        "solve-file-and-n",
+        "solve-no-source",
     ],
 )
 def test_bad_counts_are_usage_errors(args):
-    proc = run_cli(*args)
+    # a generator drawing from an unbounded region never returns
+    proc = run_cli(*args, timeout=30)
     assert proc.returncode == 2
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1, proc.stderr

@@ -7,7 +7,6 @@ from rectcover import heuristics
 from rectcover.cliques import (
     SimplicialSearchStats,
     find_simplicial,
-    is_clique,
     max_clique_sweep,
 )
 from rectcover.geometry import filter_dominated, generate_instance
@@ -252,18 +251,3 @@ def test_search_work_pinned(family, algo, monkeypatch):
     digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
     assert (len(witnesses), digest, stats.entry_accesses) == SEARCH_WORK[family, algo]
 
-
-# ------------------------------------------------------------------ cliques
-
-
-def test_is_clique(triangle, chain3):
-    g = build_graph(triangle)
-    assert is_clique(g, [0, 1, 2])
-    assert is_clique(g, [0])
-    assert is_clique(g, [])
-    h = build_graph(chain3)
-    assert is_clique(h, [0, 1])
-    assert not is_clique(h, [0, 2])  # the two endpoints
-    assert not is_clique(h, [0, 1, 2])
-    with pytest.raises(ValueError):
-        is_clique(h.remove_vertices([1]), [0, 1])

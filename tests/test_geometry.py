@@ -160,6 +160,23 @@ def test_generate_instance_invariants():
         assert region.y_min <= r.lo.y < r.hi.y <= region.y_max
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (0.0, math.inf, 0.0, 1.0),
+        (0.0, math.nan, 0.0, 1.0),
+        (-1e308, 1e308, 0.0, 1.0),  # finite bounds, but the width overflows
+        (0.0, 1.0, -math.inf, 0.0),
+    ],
+    ids=["inf", "nan", "overflowing-width", "minus-inf-y"],
+)
+def test_region_rejects_non_finite_extent(bounds):
+    # uniform draws over such a region are never finite, so generation
+    # would reject every draw forever
+    with pytest.raises(ValueError, match="finite"):
+        Region(*bounds)
+
+
 def test_generate_instance_empty():
     instance = generate_instance(0, seed=1)
     assert instance.n == 0

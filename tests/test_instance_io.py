@@ -54,6 +54,7 @@ def test_region_is_bounding_box():
         ("n 1\n0 0 1\n", "line 2"),
         ("n 1\n0 0 one 1\n", "line 2"),
         ("n 1\n1 1 0 2\n", "line 2"),  # corners out of order
+        ("n 2\n-1e308 0 0 1\n0 0 1e308 1\n", "float range"),  # width overflows
     ],
 )
 def test_malformed_inputs(text, fragment):
