@@ -132,7 +132,7 @@ def _inside(a: float, b: float, lows) -> float:
     ends at unless a box starts one ulp below where another ends, the case
     ``build_graph`` rejects.
     """
-    mid = (a + b) / 2.0
+    mid = a / 2.0 + b / 2.0  # halving first cannot overflow
     if a < mid < b:
         return mid
     return b if a in lows else a

@@ -13,9 +13,10 @@ so a new view keeps the known cliques still live and the known non-cliques
 still live that lost no neighbor. Vertex ids always refer to the originally
 built graph, so a rectangle keeps its id across deletions.
 
-The graph is built by one quadratic pairwise test, vectorized with numpy.
-On the kept sets the heuristics build graphs for, it is faster than a plane
-sweep over candidate pairs; the sweep wins only on nearly edge-free inputs.
+The graph is built by one quadratic pairwise test, vectorized with numpy
+under a small ufunc buffer (see ``geometry._small_ufunc_buffer``). On the
+kept sets the heuristics build graphs for, it is faster than a plane sweep
+over candidate pairs; the sweep wins only on nearly edge-free inputs.
 ``build_graph`` rejects rectangles no point can stab correctly (see
 ``UnstabbableOverlapError``).
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Rectangle, _bounds_arrays, _check_stabbable
+from .geometry import _bounds_arrays, _check_rectangles, _check_stabbable, _small_ufunc_buffer
 
 __all__ = ["IntersectionGraph", "build_graph", "bit_indices"]
 
@@ -196,6 +197,7 @@ class IntersectionGraph:
 # -- builders ----------------------------------------------------------
 
 
+@_small_ufunc_buffer()
 def _build_pairwise(bounds) -> tuple[list[int], np.ndarray]:
     """All-pairs open-overlap test: adjacency bitset rows and degrees."""
     lx, ly, hx, hy = bounds
@@ -228,9 +230,7 @@ def build_graph(rects) -> IntersectionGraph:
             ulp below some rectangle's upper coordinate on the same axis.
     """
     rects = list(rects)
-    for r in rects:
-        if not isinstance(r, Rectangle):
-            raise TypeError(f"expected Rectangle, got {type(r).__name__}")
+    _check_rectangles(rects)
     bounds = _bounds_arrays(rects)
     _check_stabbable(bounds)
     rows, degrees = _build_pairwise(bounds)

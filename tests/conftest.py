@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rectcover.cliques import find_simplicial
@@ -134,3 +135,13 @@ def frame4():
         mk(-0.5, -0.5, 0.5, 3.5),  # 2 left
         mk(2.5, -0.5, 3.5, 3.5),   # 3 right
     ]
+
+
+@pytest.fixture
+def caller_bufsize():
+    """A ufunc buffer size other than numpy's default, set for one test."""
+    old = np.setbufsize(4096)
+    try:
+        yield 4096
+    finally:
+        np.setbufsize(old)

@@ -159,6 +159,19 @@ def test_solve_unstabbable_overlap_is_an_input_error(tmp_path):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_solve_boxes_near_the_top_of_the_float_range(tmp_path):
+    # lo + hi overflows to inf for both boxes, so a midpoint taken as
+    # (lo + hi) / 2 is no stab point
+    path = tmp_path / "huge.txt"
+    path.write_text("n 2\n1e308 0 1.6e308 1\n1.2e308 0 1.7e308 1\n")
+    for algo in ("gcc", "gcc-i", "mis", "mis-i"):
+        proc = run_cli("solve", "--algo", algo, "--file", path)
+        assert proc.returncode == 0, (algo, proc.stderr)
+        payload = json.loads(proc.stdout)
+        assert payload["size"] == 1, algo
+        assert payload["verified"] is True, algo
+
+
 def test_bench_csv_deterministic(tmp_path):
     args = ("bench", "--n-list", "30,60", "--trials", 3, "--seed", 4)
     a = run_cli(*args)

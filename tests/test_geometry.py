@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from rectcover import geometry
 from rectcover.geometry import (
     UNIT_SQUARE,
     DegenerateRectangleError,
@@ -260,6 +262,29 @@ def test_filter_dominated_matches_naive():
 
 def test_filter_dominated_empty():
     assert filter_dominated(inst_of([])) == ([], [])
+
+
+def test_filter_dominated_rejects_non_rectangles():
+    with pytest.raises(TypeError, match="expected Rectangle, got int"):
+        filter_dominated([1, 2])
+    with pytest.raises(TypeError):
+        filter_dominated([mk(0, 0, 1, 1), (0, 0, 2, 2)])
+
+
+def test_filter_dominated_restores_the_ufunc_buffer(caller_bufsize, monkeypatch):
+    filter_dominated(generate_instance(600, seed=3))
+    assert np.getbufsize() == caller_bufsize
+    seen = []
+
+    def failing_bounds(rects):
+        seen.append(np.getbufsize())
+        raise MemoryError
+
+    monkeypatch.setattr(geometry, "_bounds_arrays", failing_bounds)
+    with pytest.raises(MemoryError):
+        filter_dominated([mk(0, 0, 1, 1)])
+    assert seen == [geometry._UFUNC_BUFSIZE]
+    assert np.getbufsize() == caller_bufsize
 
 
 def test_filter_dominated_across_256_row_blocks():

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from rectcover.geometry import generate_instance, interiors_intersect
-from rectcover.graph import IntersectionGraph, bit_indices, build_graph
+from rectcover.graph import IntersectionGraph, _build_pairwise, bit_indices, build_graph
 
 from conftest import crossing_bars, equal_squares, mk
 
@@ -213,3 +214,12 @@ def test_degree_sum_is_twice_edges():
 def test_build_rejects_non_rectangles():
     with pytest.raises(TypeError):
         build_graph([(0, 0, 1, 1)])
+
+
+def test_build_restores_the_ufunc_buffer(caller_bufsize):
+    build_graph(generate_instance(300, seed=4).rects)
+    assert np.getbufsize() == caller_bufsize
+    # bounds of different lengths fail to broadcast inside the scoped block
+    with pytest.raises(ValueError):
+        _build_pairwise((np.zeros(3), np.zeros(2), np.ones(3), np.ones(3)))
+    assert np.getbufsize() == caller_bufsize

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from rectcover.bench import trial_seed
@@ -324,6 +325,15 @@ def _check_valid(algo, instance):
 def test_unstabbable_overlap_is_a_typed_error(algo, rects):
     with pytest.raises(UnstabbableOverlapError):
         algo(inst_of(rects))
+
+
+@pytest.mark.parametrize("algo", ALL_HEURISTICS)
+def test_solves_keep_the_callers_ufunc_buffer(algo, caller_bufsize):
+    algo(generate_instance(200, seed=12))
+    assert np.getbufsize() == caller_bufsize
+    with pytest.raises(UnstabbableOverlapError):
+        algo(inst_of([mk(0, 0, ULP1, 1), mk(0.5, 0, 1, 1)]))
+    assert np.getbufsize() == caller_bufsize
 
 
 @pytest.mark.parametrize("algo", ALL_HEURISTICS)
