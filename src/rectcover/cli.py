@@ -272,9 +272,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_region(argv: list[str]) -> list[str]:
+    """Join each ``--region`` word to the word after it as ``--region=VALUE``.
+
+    argparse takes a separate value such as ``-2,3,0,1`` for an option
+    because it starts with ``-``; the joined form is read as the value.
+    """
+    out = []
+    words = iter(argv)
+    for word in words:
+        value = next(words, None) if word == "--region" else None
+        out.append(word if value is None else f"--region={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_region(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (InstanceFormatError, UnstabbableOverlapError) as exc:

@@ -60,12 +60,12 @@ def max_clique_sweep(rects) -> CliqueWitness:
 
     The x-axis is discretized into elementary intervals between the sorted
     distinct x-coordinates. Sweeping y downward, each rectangle's top edge
-    adds +1 and its bottom edge -1 over its open x-span in a range-add /
-    range-max tree; after each batch of equal-y events the tree's global
-    maximum gives the deepest cell for the y-gap below. The reported stab
-    point is the midpoint of the winning elementary cell, so it is interior
-    to every member; where the cell is one ulp wide it is a cell corner no
-    member starts or ends at. Ties keep the first maximum in sweep order
+    adds +1 and its bottom edge -1 over its open x-span in a depth array;
+    after each batch of equal-y events the array's maximum gives the
+    deepest cell for the y-gap below. The reported stab point is the
+    midpoint of the winning elementary cell, so it is interior to every
+    member; where the cell is one ulp wide it is a cell corner no member
+    starts or ends at. Ties keep the first maximum in sweep order
     (decreasing y, then increasing x).
 
     Raises:

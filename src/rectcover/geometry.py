@@ -140,6 +140,7 @@ class Instance:
     n_requested: int
 
     def __post_init__(self) -> None:
+        _check_rectangles(self.rects)
         for i, r in enumerate(self.rects):
             if not self.region.contains_rect(r):
                 raise ValueError(f"rectangle {i} lies outside the region: {r}")

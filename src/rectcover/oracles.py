@@ -237,9 +237,14 @@ def verify_cover(rects, points, assignment=None) -> bool:
 
 
 def verify_independent(rects, members) -> bool:
-    """True if the indexed rectangles are pairwise interior-disjoint."""
+    """True if the indexed rectangles are pairwise interior-disjoint.
+
+    An index outside ``range(len(rects))`` makes the set invalid.
+    """
     rects = list(rects)
     ms = sorted(set(members))
+    if not all(0 <= m < len(rects) for m in ms):
+        return False
     for i, a in enumerate(ms):
         ra = rects[a]
         for b in ms[i + 1 :]:

@@ -64,6 +64,25 @@ def test_gen_region():
         assert -5 <= ylo < yhi <= 0
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("gen", "--n", 6, "--seed", 4), ("solve", "--algo", "gcc", "--n", 6, "--seed", 4)],
+    ids=["gen", "solve"],
+)
+def test_region_with_negative_first_bound_as_separate_word(command):
+    spaced = run_cli(*command, "--region", "-2,3,0,1")
+    joined = run_cli(*command, "--region=-2,3,0,1")
+    assert spaced.returncode == 0, spaced.stderr
+    assert joined.returncode == 0, joined.stderr
+    if command[0] == "gen":
+        assert spaced.stdout == joined.stdout
+        assert any(float(line.split()[0]) < 0 for line in spaced.stdout.splitlines()[1:])
+    else:
+        a, b = json.loads(spaced.stdout), json.loads(joined.stdout)
+        a.pop("elapsed_ms"), b.pop("elapsed_ms")
+        assert a == b and a["verified"] is True
+
+
 def test_gen_bad_region():
     proc = run_cli("gen", "--n", 5, "--region", "3,2,0,1")
     assert proc.returncode == 2
@@ -262,6 +281,9 @@ def test_verify_size_capped():
         ("verify", "--mcc-cap", -1),
         ("gen", "--n", 3, "--region", "0,inf,0,1"),
         ("gen", "--n", 3, "--region=-1e308,1e308,0,1"),
+        ("gen", "--n", 3, "--region", "-1e308,1e308,0,1"),
+        ("solve", "--algo", "gcc", "--n", 3, "--region", "-3,-4,0,1"),
+        ("gen", "--n", 3, "--region"),
         ("solve", "--algo", "gcc", "--file", "chain.txt", "--n", 3),
         ("solve", "--algo", "gcc"),
     ],
@@ -275,6 +297,9 @@ def test_verify_size_capped():
         "verify-mcc-cap",
         "gen-region-inf",
         "gen-region-overflow",
+        "gen-region-overflow-separate-word",
+        "solve-region-empty-separate-word",
+        "gen-region-no-value",
         "solve-file-and-n",
         "solve-no-source",
     ],

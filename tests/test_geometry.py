@@ -195,6 +195,13 @@ def test_instance_rejects_rect_outside_region():
         )
 
 
+def test_instance_rejects_non_rectangles():
+    with pytest.raises(TypeError, match="expected Rectangle, got int"):
+        Instance((1, 2), None, UNIT_SQUARE, 2)
+    with pytest.raises(TypeError, match="expected Rectangle, got NoneType"):
+        Instance((mk(0.1, 0.1, 0.2, 0.2), None), None, UNIT_SQUARE, 2)
+
+
 # ---------------------------------------------------------------- domination
 
 

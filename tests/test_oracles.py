@@ -297,3 +297,10 @@ def test_verify_independent_examples(chain3):
     # nesting breaks independence, edge contact does not
     assert not verify_independent([mk(0, 0, 4, 4), mk(1, 1, 2, 2)], [0, 1])
     assert verify_independent([mk(0, 0, 1, 1), mk(1, 0, 2, 1)], [0, 1])
+
+
+def test_verify_independent_rejects_out_of_range_members():
+    disjoint = [mk(0, 0, 1, 1), mk(2, 0, 3, 1)]
+    assert verify_independent(disjoint, [0, 1])
+    assert not verify_independent(disjoint, [-1, 0])  # -1 must not wrap to box 1
+    assert not verify_independent(disjoint, [0, 7])

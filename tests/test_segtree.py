@@ -33,6 +33,14 @@ def test_range_bounds_validated():
         t.add(3, 3, 1)  # empty range
 
 
+def test_peek_max_returns_python_ints():
+    t = MaxAddSegmentTree(5)
+    t.add(1, 4, 3)
+    value, index = t.peek_max()
+    assert type(value) is int and type(index) is int
+    assert (value, index) == (3, 1)
+
+
 def test_leftmost_argmax_on_ties():
     t = MaxAddSegmentTree(6)
     t.add(2, 5, 7)
@@ -42,7 +50,7 @@ def test_leftmost_argmax_on_ties():
     assert t.peek_max() == (7, 0)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 7, 16, 33, 100])
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 16, 33, 100, 1000, 4097])
 def test_matches_array_simulation(size):
     rng = random.Random(size * 31 + 5)
     tree = MaxAddSegmentTree(size)
