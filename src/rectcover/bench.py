@@ -129,6 +129,8 @@ def run_bench(
     Raises VerificationError with a reproduction recipe if any run produces
     an invalid result.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     algos = list(algos)
     for name in algos:
         if name not in ALGORITHMS:

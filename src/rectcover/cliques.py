@@ -149,9 +149,10 @@ def find_simplicial(
     Vertices are visited in increasing order of current degree (ties to the
     lowest id) by walking ``g.degree_classes()`` in order, each class in id
     order, and the first simplicial one is returned. Clique tests go through
-    ``g.closed_clique_test``, whose answers the view remembers across
-    searches and deletions: known non-cliques are masked out of each class,
-    and only vertices of unknown answer are tested.
+    ``g.closed_clique_test``, which remembers failures across searches and
+    deletions: known non-cliques are masked out of each class, and only the
+    other vertices are tested. A found vertex is not remembered, since it is
+    deleted with its neighborhood in the round that finds it.
 
     ``rects`` must be indexed by vertex id of the base graph. The witness
     stab point is the center of the common intersection of the neighborhood,

@@ -5,13 +5,14 @@ says rectangles ``i`` and ``j`` have open interiors that intersect. The
 diagonal is always clear. Vertex deletion is a logical mask: removing
 vertices produces a new view sharing the rows. A view holds bitsets only:
 the live mask, the live vertices grouped into degree classes, and the live
-vertices known to have, and known not to have, a clique for their closed
-neighborhood. Only the live neighbors of removed vertices change degree, so
-a new view keeps every other vertex in its class and refiles those. A
-clique stays one under deletion and an untouched neighborhood is unchanged,
-so a new view keeps the known cliques still live and the known non-cliques
-still live that lost no neighbor. Vertex ids always refer to the originally
-built graph, so a rectangle keeps its id across deletions.
+vertices known not to have a clique for their closed neighborhood. Only the
+live neighbors of removed vertices change degree, so a new view keeps every
+other vertex in its class and refiles those, and an untouched neighborhood
+is unchanged, so it keeps the known non-cliques that lost no neighbor. A
+found clique needs no memory: its vertex lies in its own closed
+neighborhood, which the heuristics delete in the round that finds it. Vertex
+ids always refer to the originally built graph, so a rectangle keeps its id
+across deletions.
 
 The graph is built by one quadratic pairwise test, vectorized with numpy
 under a small ufunc buffer (see ``geometry._small_ufunc_buffer``). On the
@@ -45,16 +46,15 @@ class IntersectionGraph:
 
     Views are made by ``build_graph`` and ``remove_vertices``. Entry ``d``
     of ``degree_classes()`` is the bitset of live vertices with ``d`` live
-    neighbors. Only ``closed_clique_test`` adds to the known (non-)cliques.
+    neighbors. Only ``closed_clique_test`` adds to the known non-cliques.
     """
 
-    __slots__ = ("_rows", "_classes", "_alive", "_cliques", "_non_cliques")
+    __slots__ = ("_rows", "_classes", "_alive", "_non_cliques")
 
-    def __init__(self, rows: list[int], classes: list[int], alive: int, cliques=0, non_cliques=0):
+    def __init__(self, rows: list[int], classes: list[int], alive: int, non_cliques=0):
         self._rows = rows
         self._classes = classes
         self._alive = alive
-        self._cliques = cliques
         self._non_cliques = non_cliques
 
     # -- basic queries -------------------------------------------------
@@ -121,11 +121,6 @@ class IntersectionGraph:
     # -- remembered clique tests ---------------------------------------
 
     @property
-    def known_cliques(self) -> int:
-        """Bitset of live vertices known to have a clique closed neighborhood."""
-        return self._cliques
-
-    @property
     def known_non_cliques(self) -> int:
         """Bitset of live vertices known not to have a clique closed neighborhood."""
         return self._non_cliques
@@ -133,13 +128,11 @@ class IntersectionGraph:
     def closed_clique_test(self, v: int) -> tuple[bool, int]:
         """Whether ``v``'s closed neighborhood is a clique, and the rows read.
 
-        A known answer reads none. Otherwise the rows of ``v`` and of its live
-        neighbors are read in id order, up to the first that misses a member,
-        and the view remembers the answer.
+        The rows of ``v`` and of its live neighbors are read in id order, up
+        to the first that misses a member. A failed test adds ``v`` to the
+        known non-cliques; a passed one leaves no memory.
         """
         bit = 1 << v
-        if (self._cliques | self._non_cliques) & bit:
-            return self._cliques & bit != 0, 0
         rows = self._rows
         closed = (rows[v] & self._alive) | bit
         read = 1
@@ -151,7 +144,6 @@ class IntersectionGraph:
             if closed & ~(rows[low.bit_length() - 1] | low):
                 self._non_cliques |= bit
                 return False, read
-        self._cliques |= bit
         return True, read
 
     # -- deletion ------------------------------------------------------
@@ -176,9 +168,7 @@ class IntersectionGraph:
             classes[(rows[u] & alive).bit_count()] |= 1 << u
         while classes and not classes[-1]:
             classes.pop()
-        return IntersectionGraph(
-            rows, classes, alive, self._cliques & alive, self._non_cliques & untouched
-        )
+        return IntersectionGraph(rows, classes, alive, self._non_cliques & untouched)
 
     # -- equality (structural, for tests) ------------------------------
 

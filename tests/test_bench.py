@@ -2,6 +2,8 @@ import math
 import statistics
 from types import SimpleNamespace
 
+import pytest
+
 from rectcover import oracles
 from rectcover.bench import (
     BenchRow,
@@ -45,6 +47,12 @@ def test_run_bench_subset_of_algorithms():
     assert set(rows[0].means) == {"gcc"}
     assert {rec.algorithm for rec in records} == {"gcc"}
     assert math.isnan(rows[0].ratio())
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_bench_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        run_bench([10], trials, 1)
 
 
 def test_format_csv_layout():

@@ -205,6 +205,43 @@ def test_remove_repeated_vertex_counts_it_once(triangle):
     assert h.edge_count() == 1
 
 
+@pytest.mark.parametrize(
+    "layout, expected",
+    [
+        ("triangle", [(True, 3), (True, 3), (True, 3)]),
+        # the middle row misses the far end after reading one neighbor's row
+        ("chain3", [(True, 2), (False, 2), (True, 2)]),
+        ("frame4", [(False, 2), (False, 2), (False, 2), (False, 2)]),
+    ],
+)
+def test_closed_clique_test_answers_and_rows_read(layout, expected, request):
+    g = build_graph(request.getfixturevalue(layout))
+    failed = 0
+    for v, answer in enumerate(expected):
+        assert g.closed_clique_test(v) == answer, v
+        if not answer[0]:
+            failed |= 1 << v
+        # only failures are remembered
+        assert g.known_non_cliques == failed, v
+    # no answer is returned from memory: a second test reads the rows again
+    assert [g.closed_clique_test(v) for v in g.vertices()] == expected
+    assert g.known_non_cliques == failed
+
+
+def test_failed_clique_test_kept_until_a_neighbor_goes(frame4):
+    g = build_graph(frame4)
+    assert not g.closed_clique_test(0)[0]
+    assert not g.closed_clique_test(2)[0]
+    # bottom (1) touches left (2) and right (3) but not top (0)
+    h = g.remove_vertices([1])
+    assert h.known_non_cliques == 0b0001
+    # left was top's neighbor: top forgets, and is now simplicial
+    k = h.remove_vertices([2])
+    assert k.known_non_cliques == 0
+    assert k.closed_clique_test(0) == (True, 2)
+    assert k.known_non_cliques == 0
+
+
 def test_degree_sum_is_twice_edges():
     instance = generate_instance(120, seed=8)
     g = build_graph(instance.rects)

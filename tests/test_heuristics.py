@@ -15,7 +15,7 @@ from rectcover.graph import build_graph
 from rectcover.heuristics import CoverResult, gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import exact_mcc, exact_mis, verify_cover, verify_independent
 
-from conftest import inst_of, mk
+from conftest import crossing_bars, equal_squares, inst_of, mk, nested_clusters
 
 
 # ------------------------------------------------------------ cover: plain
@@ -196,8 +196,10 @@ def test_frozen_sizes_on_reference_instance():
 
 
 # Outputs pinned from the per-heuristic loops the shared peeling loop
-# replaced: size, theta, phi and iterations for covers, plus the first 16
-# hex digits of a sha256 of repr((points, assignment)) or repr(members).
+# replaced (frame4 and the uniform seeds) or from the search that still
+# remembered found cliques (the named layouts): size, theta, phi and
+# iterations for covers, plus the first 16 hex digits of a sha256 of
+# repr((points, assignment)) or repr(members).
 PINNED = {
     "frame4": {
         gcc: (2, 0, 2, 2, "17b6c82cba86bbf5"),
@@ -229,6 +231,32 @@ PINNED = {
         mis_greedy: (35, "3883470b942ac25a"),
         mis_i: (32, "4bc3707d3e433c5c"),
     },
+    # nothing dominated
+    "squares": {
+        gcc: (34, 0, 34, 34, "1f940d4ab64b187b"),
+        gcc_i: (33, 22, 11, 33, "0017cfeb0cd64671"),
+        mis_greedy: (24, "112210cf5b7252b7"),
+        mis_i: (22, "9c9d61710cbca7cf"),
+    },
+    "bars": {
+        gcc: (12, 0, 12, 12, "7670ea475911ad1e"),
+        gcc_i: (12, 1, 11, 12, "7670ea475911ad1e"),
+        mis_greedy: (12, "87e5c6c6c9371b46"),
+        mis_i: (1, "d66a370d279e628b"),
+    },
+    # 191 of 300 dominated, so the assignment of dominated boxes is pinned
+    "nested": {
+        gcc: (4, 0, 4, 4, "d23f0257660cb218"),
+        gcc_i: (4, 4, 0, 4, "a5d376691819b70f"),
+        mis_greedy: (4, "3f3770af90350e14"),
+        mis_i: (4, "3f3770af90350e14"),
+    },
+}
+
+PINNED_LAYOUTS = {
+    "squares": lambda: equal_squares(200, 5151),
+    "bars": lambda: crossing_bars(12),
+    "nested": lambda: nested_clusters(300, 4, 61),
 }
 
 
@@ -246,6 +274,8 @@ def _digest(result):
 def test_pinned_outputs(case, frame4):
     if case == "frame4":
         instance = inst_of(frame4)
+    elif case in PINNED_LAYOUTS:
+        instance = inst_of(PINNED_LAYOUTS[case]())
     else:
         instance = generate_instance(300, seed=trial_seed(11, 300, case))
     for algo, expected in PINNED[case].items():
