@@ -14,9 +14,20 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .cliques import find_simplicial, max_clique_sweep
 from .geometry import Instance, generate_instance
+from .graph import build_graph
 from .heuristics import CoverResult, IndependentSetResult, gcc, gcc_i, mis_greedy, mis_i
-from .oracles import verify_cover, verify_independent
+from .oracles import (
+    DEFAULT_MCC_CAP,
+    DEFAULT_MIS_CAP,
+    exact_mcc,
+    exact_mis,
+    max_clique_candidates,
+    simplicial_scan,
+    verify_cover,
+    verify_independent,
+)
 
 __all__ = [
     "ALGORITHMS",
@@ -212,22 +223,23 @@ def verify_random(
     count: int,
     n: int,
     base_seed: int,
-    mis_cap: int = 25,
-    mcc_cap: int = 18,
+    mis_cap: int = DEFAULT_MIS_CAP,
+    mcc_cap: int = DEFAULT_MCC_CAP,
 ) -> list[str]:
     """Cross-check heuristics and sweeps against the exact oracles.
 
     Runs ``count`` random instances of size ``n`` and checks, per instance:
-    the sweep maximum clique matches the enumeration oracle's size; the
+    the sweep maximum clique equals the enumeration oracle's witness; the
     simplicial search agrees with the brute-force simplicial scan; every
     heuristic output is valid; and the size sandwich
     ``mis <= exact MIS <= exact cover <= gcc-i`` holds. Returns a list of
     violation descriptions (empty means all checks passed).
-    """
-    from .cliques import find_simplicial, max_clique_sweep
-    from .graph import build_graph
-    from .oracles import exact_mcc, exact_mis, max_clique_candidates, simplicial_scan
 
+    Raises:
+        ValueError: if ``count`` is negative.
+    """
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     violations: list[str] = []
     for t in range(count):
         seed = trial_seed(base_seed, n, t)
@@ -236,8 +248,8 @@ def verify_random(
 
         sweep = max_clique_sweep(instance.rects) if instance.n else None
         cand = max_clique_candidates(instance.rects) if instance.n else None
-        if sweep is not None and cand is not None and sweep.size != cand.size:
-            violations.append(f"{tag} sweep max clique {sweep.size} != oracle {cand.size}")
+        if sweep != cand:
+            violations.append(f"{tag} sweep max clique {sweep} != oracle {cand}")
 
         graph = build_graph(instance.rects)
         scan = simplicial_scan(graph)

@@ -7,7 +7,10 @@ discretization: rectangle membership is constant on each open cell of the
 grid induced by all distinct edge coordinates, so one point per cell forms
 a complete candidate set for piercing points and for depth counting. A
 cell's point follows the sweep's rule: the midpoint, or on a one-ulp-wide
-side a corner no box starts or ends at.
+side a corner no box starts or ends at. ``_cells`` scans the cells in the
+sweep's tie order, by y-gap from the top and then by x-cell from the left,
+so the first deepest cell, which ``max_clique_candidates`` returns, is the
+one ``max_clique_sweep`` keeps: the two return equal witnesses.
 """
 
 from __future__ import annotations
@@ -48,8 +51,12 @@ def _axis_cells(los, his):
     return points, masks
 
 
-def _grid(rects):
-    """Cell points and coverage bitsets on both axes.
+def _cells(rects):
+    """Yield ``(coverage bitset, x, y)`` for every cell some box spans,
+    where ``(x, y)`` is the cell's point.
+
+    Cells come by y-gap from the top, then by x-cell from the left, the
+    order in which ``max_clique_sweep`` keeps the first of equal depths.
 
     Raises:
         UnstabbableOverlapError: if some lower coordinate is one ulp below
@@ -58,14 +65,17 @@ def _grid(rects):
     _check_stabbable(_bounds_arrays(rects))
     cell_x, xmasks = _axis_cells([r.lo.x for r in rects], [r.hi.x for r in rects])
     cell_y, ymasks = _axis_cells([r.lo.y for r in rects], [r.hi.y for r in rects])
-    return cell_x, xmasks, cell_y, ymasks
+    for y, my in zip(reversed(cell_y), reversed(ymasks)):
+        for x, mx in zip(cell_x, xmasks):
+            if m := mx & my:
+                yield m, x, y
 
 
 def max_clique_candidates(rects) -> CliqueWitness:
     """Maximum clique by exhaustive candidate-point enumeration.
 
-    Scans every elementary cell and counts the rectangles spanning it; the
-    deepest cell's point is a stab point of a maximum clique.
+    The first deepest cell of ``_cells``, so ties go as in the sweep and the
+    witness, members and stab point, equals ``max_clique_sweep``'s.
 
     Raises:
         UnstabbableOverlapError: outside the float contract ``build_graph``
@@ -74,21 +84,8 @@ def max_clique_candidates(rects) -> CliqueWitness:
     rects = list(rects)
     if not rects:
         raise ValueError("max_clique_candidates needs at least one rectangle")
-    cell_x, xmasks, cell_y, ymasks = _grid(rects)
-
-    best_count = 0
-    best = None
-    for cx, mx in enumerate(xmasks):
-        if mx.bit_count() <= best_count:
-            continue
-        for cy, my in enumerate(ymasks):
-            m = mx & my
-            c = m.bit_count()
-            if c > best_count:
-                best_count = c
-                best = (cx, cy, m)
-    cx, cy, m = best
-    return CliqueWitness(tuple(bit_indices(m)), Point(cell_x[cx], cell_y[cy]))
+    m, x, y = max(_cells(rects), key=lambda cell: cell[0].bit_count())
+    return CliqueWitness(tuple(bit_indices(m)), Point(x, y))
 
 
 def exact_mis(g: IntersectionGraph, cap: int = DEFAULT_MIS_CAP) -> tuple[int, set[int]]:
@@ -134,9 +131,10 @@ def exact_mis(g: IntersectionGraph, cap: int = DEFAULT_MIS_CAP) -> tuple[int, se
 def exact_mcc(rects, cap: int = DEFAULT_MCC_CAP) -> tuple[int, list[Point]]:
     """Exact minimum piercing by set cover over candidate cell points.
 
-    Candidates are deduplicated by coverage set and pruned to maximal
-    coverage sets, then searched by iterative deepening on the cover size
-    below that of a greedy cover, which is returned if no smaller one exists.
+    Candidates are the first cell of ``_cells`` with each coverage set,
+    pruned to maximal coverage sets, then searched by iterative deepening on
+    the cover size below that of a greedy cover, which is returned if no
+    smaller one exists.
 
     Raises:
         UnstabbableOverlapError: outside the float contract ``build_graph``
@@ -149,27 +147,12 @@ def exact_mcc(rects, cap: int = DEFAULT_MCC_CAP) -> tuple[int, list[Point]]:
     if n > cap:
         raise OracleSizeError(f"exact_mcc cap is {cap}, instance has {n} rectangles")
 
-    cell_x, xmasks, cell_y, ymasks = _grid(rects)
-    seen = set()
-    cand_masks: list[int] = []
-    cand_points: list[Point] = []
-    for cx, mx in enumerate(xmasks):
-        if not mx:
-            continue
-        for cy, my in enumerate(ymasks):
-            m = mx & my
-            if m and m not in seen:
-                seen.add(m)
-                cand_masks.append(m)
-                cand_points.append(Point(cell_x[cx], cell_y[cy]))
-
-    maximal = [
-        i
-        for i, m in enumerate(cand_masks)
-        if not any(m != o and m | o == o for o in cand_masks)
-    ]
-    cand_masks = [cand_masks[i] for i in maximal]
-    cand_points = [cand_points[i] for i in maximal]
+    first: dict[int, Point] = {}
+    for m, x, y in _cells(rects):
+        if m not in first:
+            first[m] = Point(x, y)
+    cand_masks = [m for m in first if not any(m != o and m | o == o for o in first)]
+    cand_points = [first[m] for m in cand_masks]
 
     full = (1 << n) - 1
 
@@ -239,10 +222,11 @@ def verify_cover(rects, points, assignment=None) -> bool:
 def verify_independent(rects, members) -> bool:
     """True if the indexed rectangles are pairwise interior-disjoint.
 
-    An index outside ``range(len(rects))`` makes the set invalid.
+    An index outside ``range(len(rects))`` makes the set invalid, and so
+    does a repeated index: a box's interior meets itself.
     """
     rects = list(rects)
-    ms = sorted(set(members))
+    ms = list(members)
     if not all(0 <= m < len(rects) for m in ms):
         return False
     for i, a in enumerate(ms):

@@ -1,10 +1,11 @@
 import math
 import statistics
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from rectcover import oracles
+from rectcover import bench
 from rectcover.bench import (
     BenchRow,
     format_csv,
@@ -12,6 +13,7 @@ from rectcover.bench import (
     trial_seed,
     verify_random,
 )
+from rectcover.geometry import Point
 
 
 def test_trial_seed_is_pure_and_64bit():
@@ -112,10 +114,26 @@ def test_verify_random_vacuous():
 
 def test_verify_random_inject_fault(monkeypatch):
     # an oracle that counts one too many makes the sweep disagree with it
-    real = oracles.max_clique_candidates
+    real = bench.max_clique_candidates
     monkeypatch.setattr(
-        oracles, "max_clique_candidates", lambda rects: SimpleNamespace(size=real(rects).size + 1)
+        bench, "max_clique_candidates", lambda rects: SimpleNamespace(size=real(rects).size + 1)
     )
     violations = verify_random(2, 11, base_seed=2)
     assert len(violations) == 2
     assert all("sweep max clique" in v for v in violations)
+
+
+def test_verify_random_compares_whole_witnesses(monkeypatch):
+    # an oracle of the right size but another stab point disagrees too
+    real = bench.max_clique_candidates
+    monkeypatch.setattr(
+        bench, "max_clique_candidates", lambda rects: replace(real(rects), stab=Point(-1.0, -1.0))
+    )
+    violations = verify_random(2, 11, base_seed=2)
+    assert len(violations) == 2
+    assert all("sweep max clique" in v for v in violations)
+
+
+def test_verify_random_rejects_negative_count():
+    with pytest.raises(ValueError, match="count"):
+        verify_random(-1, 11, base_seed=2)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rectcover import cli, oracles
+from rectcover import bench, cli
 
 CHAIN_FILE = "n 3\n0.0 0.0 3.0 1.0\n2.0 0.0 5.0 1.0\n4.0 0.0 7.0 1.0\n"
 
@@ -259,7 +259,7 @@ def test_verify_zero_count_vacuous():
 
 def test_verify_inject_fault(monkeypatch, capsys):
     # in process, so the oracle can be made to disagree with the sweep
-    monkeypatch.setattr(oracles, "max_clique_candidates", lambda rects: SimpleNamespace(size=0))
+    monkeypatch.setattr(bench, "max_clique_candidates", lambda rects: SimpleNamespace(size=0))
     assert cli.main(["verify", "--count", "1", "--n", "10"]) == 1
     assert "FAIL" in capsys.readouterr().err
 

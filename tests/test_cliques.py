@@ -5,11 +5,12 @@ import pytest
 
 from rectcover import heuristics
 from rectcover.cliques import (
+    CliqueWitness,
     SimplicialSearchStats,
     find_simplicial,
     max_clique_sweep,
 )
-from rectcover.geometry import filter_dominated, generate_instance
+from rectcover.geometry import Point, filter_dominated, generate_instance
 from rectcover.graph import build_graph
 from rectcover.heuristics import gcc_i, mis_greedy
 from rectcover.oracles import max_clique_candidates, simplicial_scan
@@ -64,12 +65,8 @@ def test_max_clique_touching_is_not_deeper():
 def test_max_clique_matches_candidate_oracle():
     for seed in range(40):
         instance = generate_instance(35, seed=500 + seed)
-        sweep = max_clique_sweep(list(instance.rects))
-        oracle = max_clique_candidates(list(instance.rects))
-        assert sweep.size == oracle.size, seed
-        assert all(
-            instance.rects[i].contains_point_open(sweep.stab) for i in sweep.members
-        )
+        rects = list(instance.rects)
+        assert max_clique_sweep(rects) == max_clique_candidates(rects), seed
 
 
 def test_max_clique_stab_hits_exactly_members():
@@ -84,34 +81,22 @@ def test_max_clique_stab_hits_exactly_members():
         assert hit == set(w.members)
 
 
-def _first_deepest_cell(rects):
-    """The deepest elementary cell, scanning y-gaps from the top and, within
-    a gap, x-cells from the left; a later cell wins only if strictly deeper."""
-    xs = sorted({r.lo.x for r in rects} | {r.hi.x for r in rects})
-    ys = sorted({r.lo.y for r in rects} | {r.hi.y for r in rects})
-    best = (0, None)
-    for cy in reversed(range(len(ys) - 1)):
-        for cx in range(len(xs) - 1):
-            depth = sum(
-                r.lo.x <= xs[cx] and xs[cx + 1] <= r.hi.x
-                and r.lo.y <= ys[cy] and ys[cy + 1] <= r.hi.y
-                for r in rects
-            )
-            if depth > best[0]:
-                best = (depth, (xs[cx], xs[cx + 1], ys[cy], ys[cy + 1]))
-    return best
-
-
 def test_max_clique_tie_order_matches_cell_scan():
     # integer corners tie often: many cells share the maximum depth, and the
     # sweep must pick the topmost y-gap, then the leftmost x-cell in it
     rng = random.Random(2024)
     for t in range(150):
         rects = snapped_boxes(rng, rng.randrange(1, 30), rng.choice((3, 4, 6, 9)))
-        w = max_clique_sweep(rects)
-        depth, (x0, x1, y0, y1) = _first_deepest_cell(rects)
-        assert w.size == depth, t
-        assert x0 < w.stab.x < x1 and y0 < w.stab.y < y1, t
+        assert max_clique_sweep(rects) == max_clique_candidates(rects), t
+
+
+def test_max_clique_tie_goes_to_top_gap_then_left_cell():
+    # every cell has depth 1: the top y-gap wins over the lower box, and in
+    # it the left box wins over the right one, in the sweep and the oracle
+    rects = [mk(0, 0, 1, 1), mk(4, 2, 5, 3), mk(0, 2, 1, 3)]
+    expected = CliqueWitness((2,), Point(0.5, 2.5))
+    assert max_clique_sweep(rects) == expected
+    assert max_clique_candidates(rects) == expected
 
 
 # ------------------------------------------------------- simplicial search

@@ -304,3 +304,11 @@ def test_verify_independent_rejects_out_of_range_members():
     assert verify_independent(disjoint, [0, 1])
     assert not verify_independent(disjoint, [-1, 0])  # -1 must not wrap to box 1
     assert not verify_independent(disjoint, [0, 7])
+
+
+def test_verify_independent_rejects_repeated_members():
+    # a repeated member would count twice in the set's size
+    disjoint = [mk(0, 0, 1, 1), mk(2, 0, 3, 1)]
+    assert not verify_independent(disjoint, [0, 0])
+    assert verify_independent(disjoint, iter([1, 0]))
+    assert not verify_independent(disjoint, iter([1, 1]))

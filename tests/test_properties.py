@@ -9,6 +9,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectcover.cliques import max_clique_sweep
 from rectcover.geometry import UnstabbableOverlapError, filter_dominated
 from rectcover.graph import build_graph
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
@@ -63,8 +64,7 @@ def test_outputs_verify_and_sandwich_the_optima(rects):
     opt_cover, cover_points = exact_mcc(rects)
     assert verify_cover(rects, cover_points)
     if rects:
-        clique = max_clique_candidates(rects)
-        assert all(rects[i].contains_point_open(clique.stab) for i in clique.members)
+        assert max_clique_sweep(rects) == max_clique_candidates(rects)
     assert max(r.size for r in sets) <= opt_independent <= opt_cover
     assert opt_cover <= min(r.size for r in covers)
 

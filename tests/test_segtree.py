@@ -50,11 +50,14 @@ def test_leftmost_argmax_on_ties():
     assert t.peek_max() == (7, 0)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 7, 16, 33, 100, 1000, 4097])
+@pytest.mark.parametrize(
+    "size", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 100, 255, 256, 257, 1000, 4097]
+)
 def test_matches_array_simulation(size):
     rng = random.Random(size * 31 + 5)
     tree = MaxAddSegmentTree(size)
     array = [0] * size
+    assert tree.size == size
     for _ in range(400):
         lo = rng.randrange(size)
         hi = rng.randrange(lo + 1, size + 1)
@@ -64,11 +67,13 @@ def test_matches_array_simulation(size):
             array[i] += delta
         best = max(array)
         assert tree.peek_max() == (best, array.index(best))
+    with pytest.raises(ValueError):
+        tree.add(0, size + 1, 1)
 
 
-# ------------------------------------------- padding to a power of two
+# ------------------------------------------- negative depths and the last cell
 
-PADDED_SIZES = [1, 2, 3, 4, 5, 8, 9, 16, 17, 255, 256, 257]
+EDGE_SIZES = [1, 2, 3, 4, 5, 8, 9, 16, 17, 255, 256, 257]
 
 
 def _expected(array):
@@ -76,7 +81,7 @@ def _expected(array):
     return best, array.index(best)
 
 
-@pytest.mark.parametrize("size", PADDED_SIZES)
+@pytest.mark.parametrize("size", EDGE_SIZES)
 def test_padding_never_wins_when_all_cells_negative(size):
     tree = MaxAddSegmentTree(size)
     tree.add(0, size, -5)
@@ -92,7 +97,7 @@ def test_padding_never_wins_when_all_cells_negative(size):
     assert tree.peek_max()[1] == (size - 1) // 7 * 7
 
 
-@pytest.mark.parametrize("size", PADDED_SIZES)
+@pytest.mark.parametrize("size", EDGE_SIZES)
 def test_maximum_in_last_real_cell(size):
     tree = MaxAddSegmentTree(size)
     tree.add(size - 1, size, 3)
@@ -107,27 +112,9 @@ def test_maximum_in_last_real_cell(size):
         assert tree.peek_max() == (-6, size - 1)
 
 
-@pytest.mark.parametrize("size", PADDED_SIZES)
-def test_padded_sizes_match_array_simulation(size):
-    rng = random.Random(size * 131 + 7)
-    tree = MaxAddSegmentTree(size)
-    array = [0] * size
-    assert tree.size == size
-    for _ in range(300):
-        lo = rng.randrange(size)
-        hi = rng.randrange(lo + 1, size + 1)
-        delta = rng.randint(-4, 3)
-        tree.add(lo, hi, delta)
-        for i in range(lo, hi):
-            array[i] += delta
-        assert tree.peek_max() == _expected(array)
-    with pytest.raises(ValueError):
-        tree.add(0, size + 1, 1)
-
-
 @st.composite
 def add_sequences(draw):
-    size = draw(st.sampled_from(PADDED_SIZES[:-3]) | st.integers(1, 40))
+    size = draw(st.sampled_from(EDGE_SIZES[:-3]) | st.integers(1, 40))
     ranges = st.tuples(st.integers(0, size - 1), st.integers(1, size)).map(
         lambda ab: (min(ab[0], ab[1] - 1), max(ab[0] + 1, ab[1]))
     )
