@@ -57,7 +57,6 @@ def test_matches_array_simulation(size):
     rng = random.Random(size * 31 + 5)
     tree = MaxAddSegmentTree(size)
     array = [0] * size
-    assert tree.size == size
     for _ in range(400):
         lo = rng.randrange(size)
         hi = rng.randrange(lo + 1, size + 1)
@@ -67,8 +66,6 @@ def test_matches_array_simulation(size):
             array[i] += delta
         best = max(array)
         assert tree.peek_max() == (best, array.index(best))
-    with pytest.raises(ValueError):
-        tree.add(0, size + 1, 1)
 
 
 # ------------------------------------------- negative depths and the last cell
@@ -110,6 +107,24 @@ def test_maximum_in_last_real_cell(size):
         tree.add(size - 2, size, -1)
         tree.add(size - 1, size, 2)
         assert tree.peek_max() == (-6, size - 1)
+
+
+@pytest.mark.parametrize("size", EDGE_SIZES)
+def test_padded_sizes_match_array_simulation(size):
+    rng = random.Random(size * 131 + 7)
+    tree = MaxAddSegmentTree(size)
+    array = [0] * size
+    assert tree.size == size
+    for _ in range(300):
+        lo = rng.randrange(size)
+        hi = rng.randrange(lo + 1, size + 1)
+        delta = rng.randint(-4, 3)
+        tree.add(lo, hi, delta)
+        for i in range(lo, hi):
+            array[i] += delta
+        assert tree.peek_max() == _expected(array)
+    with pytest.raises(ValueError):
+        tree.add(0, size + 1, 1)
 
 
 @st.composite
