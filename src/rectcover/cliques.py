@@ -55,26 +55,40 @@ class SimplicialSearchStats:
     entry_accesses: int = 0
 
 
-def max_clique_sweep(rects) -> CliqueWitness:
+def max_clique_sweep(rects, *, bound: int | None = None) -> CliqueWitness:
     """Maximum clique of a rectangle list by top-to-bottom line sweep.
 
     The x-axis is discretized into elementary intervals between the sorted
     distinct x-coordinates. Sweeping y downward, each rectangle's top edge
     adds +1 and its bottom edge -1 over its open x-span in a depth array;
-    after each batch of equal-y events the array's maximum gives the
-    deepest cell for the y-gap below. The reported stab point is the
-    midpoint of the winning elementary cell, so it is interior to every
-    member; where the cell is one ulp wide it is a cell corner no member
-    starts or ends at. Ties keep the first maximum in sweep order
+    after each batch of equal-y events that holds a top edge, the array's
+    maximum gives the deepest cell for the y-gap below. A batch of bottom
+    edges alone only lowers depths, so it is not read. The reported stab
+    point is the midpoint of the winning elementary cell, so it is interior
+    to every member; where the cell is one ulp wide it is a cell corner no
+    member starts or ends at. Ties keep the first maximum in sweep order
     (decreasing y, then increasing x).
 
+    ``bound`` must be at least the maximum clique size; it defaults to the
+    number of rectangles. The sweep stops at the first cell as deep as
+    ``bound``. No cell is deeper, so that cell is the first maximum in
+    sweep order and the witness is the one the full sweep returns. A
+    ``bound`` below the maximum clique size breaks that contract: the
+    result is then the first cell at least ``bound`` deep, a clique but not
+    necessarily a maximum one.
+
     Raises:
+        ValueError: if ``rects`` is empty or ``bound`` is below 1.
         UnstabbableOverlapError: if the winning cell is one ulp wide and both
             of its corners lie on a member's boundary.
     """
     rects = list(rects)
     if not rects:
         raise ValueError("max_clique_sweep needs at least one rectangle")
+    if bound is None:
+        bound = len(rects)
+    elif bound < 1:
+        raise ValueError(f"bound must be at least 1, got {bound}")
 
     xs = sorted({r.lo.x for r in rects} | {r.hi.x for r in rects})
     x_id = {x: i for i, x in enumerate(xs)}
@@ -97,17 +111,23 @@ def max_clique_sweep(rects) -> CliqueWitness:
     best_gap = (0.0, 0.0)
 
     # a batch of equal-y events ends where the next one starts; the tree
-    # then holds the depths of the gap between the two y values. Below the
-    # last batch nothing is active, so it is never read.
+    # then holds the depths of the gap between the two y values. Tops sort
+    # first, so a batch holds a top edge exactly when its first event is
+    # one. Below the last batch, all bottoms, nothing is active.
     batch_y = events[0][0]
+    rises = True
     for neg_y, kind, a, b in events:
         if neg_y != batch_y:
-            depth, cell = tree.peek_max()
-            if depth > best_depth:
-                best_depth = depth
-                best_cell = cell
-                best_gap = (-neg_y, -batch_y)  # (lower y, upper y)
+            if rises:
+                depth, cell = tree.peek_max()
+                if depth > best_depth:
+                    best_depth = depth
+                    best_cell = cell
+                    best_gap = (-neg_y, -batch_y)  # (lower y, upper y)
+                    if depth >= bound:
+                        break
             batch_y = neg_y
+            rises = kind == TOP
         add(a, b, -kind)
 
     stab = Point(

@@ -61,15 +61,22 @@ class IndependentSetResult:
         return len(self.members)
 
 
-def _max_clique(graph, rects):
-    """Stuck step: the live vertices of a maximum clique and its stab point."""
+def _max_clique(graph, rects, bound):
+    """Stuck step: the live vertices of a maximum clique and its stab point.
+
+    ``bound`` is at least the live graph's maximum clique size; the sweep
+    stops at the first cell that deep.
+    """
     vs = graph.vertices()
-    witness = max_clique_sweep([rects[v] for v in vs])
+    witness = max_clique_sweep([rects[v] for v in vs], bound=bound)
     return tuple(vs[local] for local in witness.members), witness.stab
 
 
-def _max_degree(graph, rects):
-    """Stuck step: the single maximum-degree live vertex, with no stab point."""
+def _max_degree(graph, rects, bound):
+    """Stuck step: the single maximum-degree live vertex, with no stab point.
+
+    ``bound`` is ignored.
+    """
     return (graph.max_degree_vertex(),), None
 
 
@@ -77,20 +84,27 @@ def _peel(instance: Instance, simplicial: bool, stuck):
     """Peel the kept rectangles' graph; one ``(vertex, members, stab)`` per round.
 
     A round deletes a simplicial vertex's closed neighborhood if
-    ``simplicial`` is set and one exists, else what ``stuck(graph, rects)``
-    returns, with ``vertex`` None. Vertex ids index ``kept``; ``kept`` and
-    ``removed`` are as ``filter_dominated`` gives them.
+    ``simplicial`` is set and one exists, else what ``stuck(graph, rects,
+    bound)`` returns, with ``vertex`` None. Vertex ids index ``kept``;
+    ``kept`` and ``removed`` are as ``filter_dominated`` gives them.
+
+    ``bound`` is the live graph's maximum degree plus one, or the size of
+    the last stuck step's members if that is less. Live sets only shrink,
+    so when the stuck step takes maximum cliques both bound the live
+    graph's maximum clique.
     """
     kept, removed = filter_dominated(instance)
     rects = [instance.rects[i] for i in kept]
     graph = build_graph(rects)
     rounds = []
+    last = graph.n
     while graph.n:
         witness = find_simplicial(graph, rects) if simplicial else None
         if witness is not None:
             step = (witness.vertex, witness.neighborhood, witness.stab)
         else:
-            step = (None, *stuck(graph, rects))
+            step = (None, *stuck(graph, rects, min(last, len(graph.degree_classes()))))
+            last = len(step[1])
         rounds.append(step)
         graph = graph.remove_vertices(step[1])
     return kept, removed, rounds

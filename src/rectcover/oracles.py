@@ -15,8 +15,10 @@ one ``max_clique_sweep`` keeps: the two return equal witnesses.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .cliques import CliqueWitness, _inside
-from .geometry import Point, _bounds_arrays, _check_stabbable, interiors_intersect
+from .geometry import Point, _bounds_arrays, _check_stabbable
 from .graph import IntersectionGraph, bit_indices
 
 __all__ = [
@@ -204,34 +206,50 @@ def simplicial_scan(g: IntersectionGraph) -> set[int]:
 def verify_cover(rects, points, assignment=None) -> bool:
     """True if every rectangle's open interior contains at least one point.
 
-    With an ``assignment`` (one point index per rectangle), the stronger
-    claim is checked: each rectangle contains its *assigned* point.
+    With an ``assignment`` (one integer point index per rectangle), the
+    stronger claim is checked, by one numpy test over all rectangles: each
+    rectangle contains its *assigned* point. An index that is not an
+    integer or not in ``range(len(points))`` makes the assignment invalid.
     """
     pts = list(points)
-    if assignment is not None:
-        rects = list(rects)
-        if len(assignment) != len(rects):
-            return False
-        return all(
-            0 <= k < len(pts) and r.contains_point_open(pts[k])
-            for r, k in zip(rects, assignment)
-        )
-    return all(any(r.contains_point_open(p) for p in pts) for r in rects)
+    if assignment is None:
+        return all(any(r.contains_point_open(p) for p in pts) for r in rects)
+    rects = list(rects)
+    if len(assignment) != len(rects):
+        return False
+    if not rects:
+        return True
+    ks = np.asarray(assignment)
+    if ks.dtype.kind not in "iu" or ks.min() < 0 or ks.max() >= len(pts):
+        return False
+    lx, ly, hx, hy = _bounds_arrays(rects)
+    x = np.fromiter((p.x for p in pts), dtype=float, count=len(pts))[ks]
+    y = np.fromiter((p.y for p in pts), dtype=float, count=len(pts))[ks]
+    return bool(np.all((lx < x) & (x < hx) & (ly < y) & (y < hy)))
 
 
 def verify_independent(rects, members) -> bool:
     """True if the indexed rectangles are pairwise interior-disjoint.
 
     An index outside ``range(len(rects))`` makes the set invalid, and so
-    does a repeated index: a box's interior meets itself.
+    does a repeated index: a box's interior meets itself. The pairs are
+    tested in numpy blocks of rows, each row against the members after it.
     """
     rects = list(rects)
     ms = list(members)
     if not all(0 <= m < len(rects) for m in ms):
         return False
-    for i, a in enumerate(ms):
-        ra = rects[a]
-        for b in ms[i + 1 :]:
-            if interiors_intersect(ra, rects[b]):
-                return False
+    lx, ly, hx, hy = _bounds_arrays([rects[m] for m in ms])
+    block = 1024
+    for start in range(0, len(ms), block):
+        rows = slice(start, start + block)
+        # meet[i, j]: member start+i meets member start+j
+        meet = (
+            (lx[rows, None] < hx[None, start:])
+            & (lx[None, start:] < hx[rows, None])
+            & (ly[rows, None] < hy[None, start:])
+            & (ly[None, start:] < hy[rows, None])
+        )
+        if np.triu(meet, 1).any():
+            return False
     return True

@@ -12,10 +12,19 @@ from rectcover.cliques import (
 )
 from rectcover.geometry import Point, filter_dominated, generate_instance
 from rectcover.graph import build_graph
-from rectcover.heuristics import gcc_i, mis_greedy
+from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import max_clique_candidates, simplicial_scan
+from rectcover.segtree import MaxAddSegmentTree
 
-from conftest import check_remembered_search, crossing_bars, equal_squares, inst_of, mk, snapped_boxes
+from conftest import (
+    check_remembered_search,
+    crossing_bars,
+    equal_squares,
+    inst_of,
+    mk,
+    nested_clusters,
+    snapped_boxes,
+)
 
 
 def quadratic_budget(k):
@@ -97,6 +106,20 @@ def test_max_clique_tie_goes_to_top_gap_then_left_cell():
     expected = CliqueWitness((2,), Point(0.5, 2.5))
     assert max_clique_sweep(rects) == expected
     assert max_clique_candidates(rects) == expected
+
+
+def test_max_clique_bound_below_one_rejected():
+    with pytest.raises(ValueError, match="bound"):
+        max_clique_sweep([mk(0, 0, 1, 1)], bound=0)
+
+
+def test_max_clique_bound_stops_at_first_deepest_cell():
+    # the pair on top is as deep as the bound, so the sweep stops there
+    # and never reaches the deeper triple below; a larger bound finds it
+    rects = [mk(0, 4, 2, 6), mk(1, 4, 3, 6), mk(0, 0, 2, 2), mk(1, 0, 3, 2), mk(1, 1, 3, 3)]
+    assert max_clique_sweep(rects, bound=2) == CliqueWitness((0, 1), Point(1.5, 5.0))
+    assert max_clique_sweep(rects, bound=3) == max_clique_sweep(rects)
+    assert max_clique_sweep(rects).members == (2, 3, 4)
 
 
 # ------------------------------------------------------- simplicial search
@@ -218,6 +241,8 @@ def _search_work_instance(family):
         return generate_instance(300, seed=5150)
     if family == "squares":
         return inst_of(equal_squares(200, 5151))
+    if family == "clusters":
+        return inst_of(nested_clusters(300, 8, 5152))
     return inst_of(crossing_bars(12))
 
 
@@ -236,3 +261,59 @@ def test_search_work_pinned(family, algo, monkeypatch):
     digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
     assert (len(witnesses), digest, stats.entry_accesses) == SEARCH_WORK[family, algo]
 
+
+# ------------------------------------------------------- bounded sweeps
+
+
+@pytest.mark.parametrize("algo", [gcc, gcc_i, mis_i], ids=lambda a: a.__name__)
+@pytest.mark.parametrize("family", ["uniform", "squares", "bars", "clusters"])
+def test_bounded_sweeps_match_full_sweeps_in_peels(family, algo, monkeypatch):
+    bounds = []
+
+    def checked(rects, *, bound):
+        full = max_clique_sweep(rects)
+        assert full.size <= bound
+        assert max_clique_sweep(rects, bound=bound) == full
+        bounds.append(bound)
+        return full
+
+    monkeypatch.setattr(heuristics, "max_clique_sweep", checked)
+    algo(_search_work_instance(family))
+    assert bounds
+
+
+# Sweeps made and MaxAddSegmentTree.add calls in whole peels. The sweep
+# reads depths only after a batch with a top edge and stops at the first
+# cell as deep as its bound; the full sweeps the peels made before, with
+# the same number of sweeps, called add 3234, 600, 600, 4436, 2474, 2474,
+# 312, 308 and 308 times, in this table's order.
+SWEEP_WORK = {
+    ("uniform", gcc): (45, 1900),
+    ("uniform", gcc_i): (7, 569),
+    ("uniform", mis_i): (7, 569),
+    ("squares", gcc): (34, 3367),
+    ("squares", gcc_i): (11, 1864),
+    ("squares", mis_i): (11, 1864),
+    ("bars", gcc): (12, 125),
+    ("bars", gcc_i): (11, 123),
+    ("bars", mis_i): (11, 123),
+}
+
+
+@pytest.mark.parametrize("family, algo", list(SWEEP_WORK), ids=lambda p: getattr(p, "__name__", p))
+def test_sweep_work_pinned(family, algo, monkeypatch):
+    work = [0, 0]
+
+    def counted_sweep(rects, **kwargs):
+        work[0] += 1
+        return max_clique_sweep(rects, **kwargs)
+
+    def counted_add(tree, lo, hi, delta):
+        work[1] += 1
+        add(tree, lo, hi, delta)
+
+    add = MaxAddSegmentTree.add
+    monkeypatch.setattr(heuristics, "max_clique_sweep", counted_sweep)
+    monkeypatch.setattr(MaxAddSegmentTree, "add", counted_add)
+    algo(_search_work_instance(family))
+    assert tuple(work) == SWEEP_WORK[family, algo]

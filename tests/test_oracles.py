@@ -312,3 +312,20 @@ def test_verify_independent_rejects_repeated_members():
     assert not verify_independent(disjoint, [0, 0])
     assert verify_independent(disjoint, iter([1, 0]))
     assert not verify_independent(disjoint, iter([1, 1]))
+
+
+def test_verify_independent_pairs_across_row_blocks():
+    # more members than one block of rows: a pair split across two blocks
+    # and a pair inside the second block are both caught
+    row = [mk(2 * i, 0, 2 * i + 1, 1) for i in range(1100)]
+    assert verify_independent(row, range(1100))
+    assert not verify_independent(row, [*range(1100), 0])
+    assert not verify_independent(row + [mk(2 * 1050, 0.5, 2 * 1050 + 1, 2)], range(1101))
+
+
+def test_verify_cover_rejects_non_integer_assignment():
+    rects = [mk(0, 0, 2, 2)]
+    pts = [Point(0.5, 0.5), Point(1.0, 1.0)]
+    assert verify_cover(rects, pts, assignment=[1])
+    assert not verify_cover(rects, pts, assignment=[0.5])
+    assert not verify_cover(rects, pts, assignment=[2**70])

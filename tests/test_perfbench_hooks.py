@@ -1,0 +1,45 @@
+"""The benchmark tracer still finds every name it hooks in the library.
+
+``perfbench/tracer.py`` patches functions and methods by name, and reports
+a name it cannot find as absent instead of failing. This loads it by path
+and checks that nothing is absent and that a traced ``gcc`` solve reaches
+the sweep and segment-tree hooks, so a renamed hook fails here too.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from rectcover import heuristics
+from rectcover.geometry import generate_instance
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while being built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_hook_resolves(tracer_module):
+    assert tracer_module.Tracer().absent == []
+
+
+def test_traced_gcc_counts_sweep_and_segment_tree(tracer_module):
+    tracer = tracer_module.Tracer()
+    original = heuristics.max_clique_sweep
+    with tracer.installed(0) as counts:
+        heuristics.gcc(generate_instance(60, seed=7))
+    assert heuristics.max_clique_sweep is original
+    for key in ("cliques.max_clique_sweep.calls", "segtree.cells", "segtree.add_calls"):
+        assert counts[key] > 0, key

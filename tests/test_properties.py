@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectcover.cliques import max_clique_sweep
-from rectcover.geometry import UnstabbableOverlapError, filter_dominated
+from rectcover.geometry import Point, UnstabbableOverlapError, filter_dominated, interiors_intersect
 from rectcover.graph import build_graph
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import (
@@ -28,6 +28,7 @@ COORDS = [0.0, math.nextafter(HALF, 0.0), HALF, math.nextafter(HALF, 1.0), 1.0, 
 span = st.lists(st.sampled_from(COORDS), min_size=2, max_size=2, unique=True).map(sorted)
 box = st.tuples(span, span).map(lambda xy: mk(xy[0][0], xy[1][0], xy[0][1], xy[1][1]))
 boxes = st.lists(box, max_size=12)
+point = st.builds(Point, st.sampled_from(COORDS + [0.25, 1.5]), st.sampled_from(COORDS + [0.25, 1.5]))
 
 
 def _solve(algo, instance):
@@ -77,3 +78,38 @@ def test_simplicial_memo_agrees_with_fresh_search(rects, seed):
     except UnstabbableOverlapError:
         return
     check_remembered_search(rects, seed)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(boxes)
+def test_bounded_sweep_matches_full_sweep(rects):
+    if not rects:
+        return
+    try:
+        full = max_clique_sweep(rects)
+    except UnstabbableOverlapError:
+        return
+    for bound in range(full.size, full.size + 3):
+        assert max_clique_sweep(rects, bound=bound) == full
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(boxes, st.data())
+def test_output_checks_match_pairwise_tests(rects, data):
+    n = len(rects)
+    members = data.draw(st.lists(st.integers(-1, n), max_size=5))
+    independent = all(0 <= m < n for m in members) and not any(
+        interiors_intersect(rects[a], rects[b]) for i, a in enumerate(members) for b in members[i + 1 :]
+    )
+    assert verify_independent(rects, members) == independent
+
+    # each box's own centre, which a one-ulp box does not hold, and a few
+    # points on and off the grid lines
+    points = [r.center() for r in rects] + data.draw(st.lists(point, max_size=3))
+    own_or_any = [st.one_of(st.just(i), st.integers(-1, len(points))) for i in range(n)]
+    assignment = data.draw(st.tuples(*own_or_any))
+    covered = all(
+        0 <= k < len(points) and r.contains_point_open(points[k]) for r, k in zip(rects, assignment)
+    )
+    assert verify_cover(rects, points, assignment) == covered
+    assert verify_cover(rects, points) == all(any(r.contains_point_open(p) for p in points) for r in rects)
