@@ -206,26 +206,19 @@ def simplicial_scan(g: IntersectionGraph) -> set[int]:
 def verify_cover(rects, points, assignment=None) -> bool:
     """True if every rectangle's open interior contains at least one point.
 
-    With an ``assignment`` (one integer point index per rectangle), the
-    stronger claim is checked, by one numpy test over all rectangles: each
-    rectangle contains its *assigned* point. An index that is not an
-    integer or not in ``range(len(points))`` makes the assignment invalid.
+    With an ``assignment`` (one point index per rectangle), the stronger
+    claim is checked: each rectangle contains its *assigned* point.
     """
     pts = list(points)
-    if assignment is None:
-        return all(any(r.contains_point_open(p) for p in pts) for r in rects)
-    rects = list(rects)
-    if len(assignment) != len(rects):
-        return False
-    if not rects:
-        return True
-    ks = np.asarray(assignment)
-    if ks.dtype.kind not in "iu" or ks.min() < 0 or ks.max() >= len(pts):
-        return False
-    lx, ly, hx, hy = _bounds_arrays(rects)
-    x = np.fromiter((p.x for p in pts), dtype=float, count=len(pts))[ks]
-    y = np.fromiter((p.y for p in pts), dtype=float, count=len(pts))[ks]
-    return bool(np.all((lx < x) & (x < hx) & (ly < y) & (y < hy)))
+    if assignment is not None:
+        rects = list(rects)
+        if len(assignment) != len(rects):
+            return False
+        return all(
+            0 <= k < len(pts) and r.contains_point_open(pts[k])
+            for r, k in zip(rects, assignment)
+        )
+    return all(any(r.contains_point_open(p) for p in pts) for r in rects)
 
 
 def verify_independent(rects, members) -> bool:

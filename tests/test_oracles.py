@@ -321,11 +321,3 @@ def test_verify_independent_pairs_across_row_blocks():
     assert verify_independent(row, range(1100))
     assert not verify_independent(row, [*range(1100), 0])
     assert not verify_independent(row + [mk(2 * 1050, 0.5, 2 * 1050 + 1, 2)], range(1101))
-
-
-def test_verify_cover_rejects_non_integer_assignment():
-    rects = [mk(0, 0, 2, 2)]
-    pts = [Point(0.5, 0.5), Point(1.0, 1.0)]
-    assert verify_cover(rects, pts, assignment=[1])
-    assert not verify_cover(rects, pts, assignment=[0.5])
-    assert not verify_cover(rects, pts, assignment=[2**70])
