@@ -20,7 +20,6 @@ from .bench import (
 from .cliques import (
     CliqueWitness,
     SimplicialSearchStats,
-    SimplicialWitness,
     find_simplicial,
     max_clique_sweep,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "Region",
     "RunRecord",
     "SimplicialSearchStats",
-    "SimplicialWitness",
     "UNIT_SQUARE",
     "UnstabbableOverlapError",
     "VerificationError",

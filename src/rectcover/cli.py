@@ -24,7 +24,7 @@ from .bench import (
     run_bench,
     verify_random,
 )
-from .geometry import Instance, Region, UnstabbableOverlapError, generate_instance
+from .geometry import UNIT_SQUARE, Instance, Region, UnstabbableOverlapError, generate_instance
 from .heuristics import CoverResult
 from .instance_io import InstanceFormatError, dumps_instance, load_instance, save_instance
 from .oracles import DEFAULT_MCC_CAP, DEFAULT_MIS_CAP
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--region",
         type=_parse_region,
-        default=Region(0.0, 1.0, 0.0, 1.0),
+        default=UNIT_SQUARE,
         help="sampling region as 'xmin,xmax,ymin,ymax' (default unit square)",
     )
     gen.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
@@ -228,9 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--file", type=Path, help="instance file to read")
     source.add_argument("--n", type=_at_least(0), help="generate an instance of this size")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument(
-        "--region", type=_parse_region, default=Region(0.0, 1.0, 0.0, 1.0)
-    )
+    solve.add_argument("--region", type=_parse_region, default=UNIT_SQUARE)
     solve.add_argument("--format", choices=("json", "csv"), default="json")
     solve.set_defaults(func=_cmd_solve)
 

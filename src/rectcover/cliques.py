@@ -1,22 +1,23 @@
 """Core engine: sweep-line maximum clique and the simplicial-vertex search.
 
-Both routines exploit the Helly property of axis-parallel boxes: a set of
+The sweep exploits the Helly property of axis-parallel boxes: a set of
 rectangles is a clique of the intersection graph exactly when all of them
 share a common interior point, so a maximum clique is a deepest point of the
-overlap arrangement and every clique can be stabbed by one point.
+overlap arrangement and every clique can be stabbed by one point. The
+simplicial search needs only the graph; a cover that takes a simplicial
+neighborhood places its stab point itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Point, UnstabbableOverlapError, common_intersection
-from .graph import IntersectionGraph, bit_indices
+from .geometry import Point, UnstabbableOverlapError
+from .graph import IntersectionGraph
 from .segtree import MaxAddSegmentTree
 
 __all__ = [
     "CliqueWitness",
-    "SimplicialWitness",
     "SimplicialSearchStats",
     "max_clique_sweep",
     "find_simplicial",
@@ -33,15 +34,6 @@ class CliqueWitness:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-@dataclass(frozen=True)
-class SimplicialWitness:
-    """A simplicial vertex, its closed neighborhood, and a shared stab point."""
-
-    vertex: int
-    neighborhood: tuple[int, ...]
-    stab: Point
 
 
 @dataclass
@@ -158,11 +150,7 @@ def _inside(a: float, b: float, lows) -> float:
     return b if a in lows else a
 
 
-def find_simplicial(
-    g: IntersectionGraph,
-    rects,
-    stats: SimplicialSearchStats | None = None,
-) -> SimplicialWitness | None:
+def find_simplicial(g: IntersectionGraph, stats: SimplicialSearchStats | None = None) -> int | None:
     """The simplicial live vertex of least (degree, id), or None if none is.
 
     A vertex is simplicial when its closed neighborhood is a clique.
@@ -172,11 +160,8 @@ def find_simplicial(
     ``g.closed_clique_test``, which remembers failures across searches and
     deletions: known non-cliques are masked out of each class, and only the
     other vertices are tested. A found vertex is not remembered, since it is
-    deleted with its neighborhood in the round that finds it.
-
-    ``rects`` must be indexed by vertex id of the base graph. The witness
-    stab point is the center of the common intersection of the neighborhood,
-    interior to every member by the Helly property.
+    deleted with its neighborhood in the round that finds it. Vertex 0 is a
+    valid answer, so test the result with ``is not None``.
     """
     unknown = ~g.known_non_cliques
     for cls in g.degree_classes():
@@ -189,10 +174,5 @@ def find_simplicial(
             if stats is not None:
                 stats.entry_accesses += g.n * read
             if clique:
-                members = bit_indices(g.neighborhood_mask(v))
-                box = common_intersection([rects[i] for i in members])
-                if box is None:
-                    raise UnstabbableOverlapError(f"clique neighborhood of {v} has no common interior")
-                return SimplicialWitness(v, tuple(members), box.center())
+                return v
     return None
-

@@ -42,11 +42,14 @@ def bit_indices(mask: int) -> list[int]:
 
 
 class IntersectionGraph:
-    """Immutable view of an intersection graph, possibly with vertices removed.
+    """View of an intersection graph, possibly with vertices removed.
 
-    Views are made by ``build_graph`` and ``remove_vertices``. Entry ``d``
-    of ``degree_classes()`` is the bitset of live vertices with ``d`` live
-    neighbors. Only ``closed_clique_test`` adds to the known non-cliques.
+    Views are made by ``build_graph`` and ``remove_vertices``. A view's
+    adjacency rows, live set and degree classes are fixed once it is made;
+    only its set of known non-cliques changes, and it only grows, when
+    ``closed_clique_test`` finds another one. Entry ``d`` of
+    ``degree_classes()`` is the bitset of live vertices with ``d`` live
+    neighbors.
     """
 
     __slots__ = ("_rows", "_classes", "_alive", "_non_cliques")

@@ -9,9 +9,10 @@ heuristic looks for one and one exists, and otherwise takes the heuristic's
 stuck step: ``gcc`` never looks and deletes a maximum clique every round,
 ``gcc_i`` falls back to one, ``mis_greedy`` deletes the maximum-degree
 vertex and ``mis_i`` a whole maximum clique. A cover takes one point per
-round, an independent set the simplicial vertices. Each dominated rectangle
-in a cover gets the point of its domination witness, the lowest-index kept
-rectangle inside it.
+round, an independent set the simplicial vertices and no points: only a
+cover stabs a simplicial neighborhood, at the center of its members' common
+box. Each dominated rectangle in a cover gets the point of its domination
+witness, the lowest-index kept rectangle inside it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import time
 from dataclasses import dataclass, field
 
 from .cliques import find_simplicial, max_clique_sweep
-from .geometry import Instance, Point, filter_dominated
-from .graph import build_graph
+from .geometry import Instance, Point, UnstabbableOverlapError, common_intersection, filter_dominated
+from .graph import bit_indices, build_graph
 
 __all__ = ["CoverResult", "IndependentSetResult", "gcc", "gcc_i", "mis_greedy", "mis_i"]
 
@@ -84,9 +85,10 @@ def _peel(instance: Instance, simplicial: bool, stuck):
     """Peel the kept rectangles' graph; one ``(vertex, members, stab)`` per round.
 
     A round deletes a simplicial vertex's closed neighborhood if
-    ``simplicial`` is set and one exists, else what ``stuck(graph, rects,
-    bound)`` returns, with ``vertex`` None. Vertex ids index ``kept``;
-    ``kept`` and ``removed`` are as ``filter_dominated`` gives them.
+    ``simplicial`` is set and one exists, with ``stab`` None, else what
+    ``stuck(graph, rects, bound)`` returns, with ``vertex`` None. Vertex ids
+    index ``kept``; ``kept`` and ``removed`` are as ``filter_dominated``
+    gives them.
 
     ``bound`` is the live graph's maximum degree plus one, or the size of
     the last stuck step's members if that is less. Live sets only shrink,
@@ -99,9 +101,9 @@ def _peel(instance: Instance, simplicial: bool, stuck):
     rounds = []
     last = graph.n
     while graph.n:
-        witness = find_simplicial(graph, rects) if simplicial else None
-        if witness is not None:
-            step = (witness.vertex, witness.neighborhood, witness.stab)
+        vertex = find_simplicial(graph) if simplicial else None
+        if vertex is not None:
+            step = (vertex, bit_indices(graph.neighborhood_mask(vertex)), None)
         else:
             step = (None, *stuck(graph, rects, min(last, len(graph.degree_classes()))))
             last = len(step[1])
@@ -113,15 +115,23 @@ def _peel(instance: Instance, simplicial: bool, stuck):
 def _cover(instance: Instance, simplicial: bool) -> CoverResult:
     t0 = time.perf_counter()
     kept, removed, rounds = _peel(instance, simplicial, _max_clique)
+    points = []
     assignment = [0] * instance.n
-    for pid, (_, members, _) in enumerate(rounds):
+    for pid, (vertex, members, stab) in enumerate(rounds):
+        if vertex is not None:
+            # a clique, so by the Helly property its common box has an interior
+            box = common_intersection([instance.rects[kept[v]] for v in members])
+            if box is None:
+                raise UnstabbableOverlapError(f"clique neighborhood of {vertex} has no common interior")
+            stab = box.center()
+        points.append(stab)
         for v in members:
             assignment[kept[v]] = pid
     for i, w in removed:
         assignment[i] = assignment[w]
     theta = sum(vertex is not None for vertex, _, _ in rounds)
     return CoverResult(
-        points=tuple(stab for _, _, stab in rounds),
+        points=tuple(points),
         assignment=tuple(assignment),
         theta_count=theta,
         phi_count=len(rounds) - theta,

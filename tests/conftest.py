@@ -99,7 +99,7 @@ def check_remembered_search(rects, seed):
 
     A round deletes the found simplicial neighborhood or a random batch of
     live vertices. The search on the peeled view, which remembers clique
-    tests from earlier rounds, must give the witness a fresh view of the
+    tests from earlier rounds, must give the vertex a fresh view of the
     same live set gives, and the vertex of least (degree, id) among those
     ``simplicial_scan`` finds. Known non-cliques must not be simplicial.
     """
@@ -107,18 +107,18 @@ def check_remembered_search(rects, seed):
     g = build_graph(rects)
     deleted = []
     while g.n:
-        w = find_simplicial(g, rects)
-        assert w == find_simplicial(build_graph(rects).remove_vertices(deleted), rects), deleted
+        v = find_simplicial(g)
+        assert v == find_simplicial(build_graph(rects).remove_vertices(deleted)), deleted
         scan = simplicial_scan(g)
         if scan:
             rows, alive = g.raw_adjacency(), g.alive_mask
-            least = min(scan, key=lambda v: ((rows[v] & alive).bit_count(), v))
-            assert w is not None and w.vertex == least, deleted
+            least = min(scan, key=lambda u: ((rows[u] & alive).bit_count(), u))
+            assert v == least, deleted
         else:
-            assert w is None, deleted
+            assert v is None, deleted
         assert scan.isdisjoint(bit_indices(g.known_non_cliques)), deleted
-        if w is not None and rng.random() < 0.5:
-            batch = list(w.neighborhood)
+        if v is not None and rng.random() < 0.5:
+            batch = bit_indices(g.neighborhood_mask(v))
         else:
             live = g.vertices()
             batch = rng.sample(live, min(len(live), rng.randint(1, 4)))

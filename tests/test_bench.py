@@ -134,6 +134,19 @@ def test_verify_random_compares_whole_witnesses(monkeypatch):
     assert all("sweep max clique" in v for v in violations)
 
 
+def test_verify_random_wants_the_least_simplicial_vertex(monkeypatch):
+    # a simplicial vertex that is not the scan's least (degree, id) one is
+    # still a violation
+    def largest(graph):
+        scan = bench.simplicial_scan(graph)
+        return max(scan, key=lambda v: (graph.degree(v), v)) if scan else None
+
+    monkeypatch.setattr(bench, "find_simplicial", largest)
+    violations = verify_random(2, 11, base_seed=2)
+    assert len(violations) == 2
+    assert all("least (degree, id)" in v for v in violations)
+
+
 def test_verify_random_rejects_negative_count():
     with pytest.raises(ValueError, match="count"):
         verify_random(-1, 11, base_seed=2)

@@ -11,7 +11,7 @@ from rectcover.cliques import (
     max_clique_sweep,
 )
 from rectcover.geometry import Point, filter_dominated, generate_instance
-from rectcover.graph import build_graph
+from rectcover.graph import bit_indices, build_graph
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import max_clique_candidates, simplicial_scan
 from rectcover.segtree import MaxAddSegmentTree
@@ -127,33 +127,28 @@ def test_max_clique_bound_stops_at_first_deepest_cell():
 
 def test_simplicial_triangle(triangle):
     g = build_graph(triangle)
-    w = find_simplicial(g, triangle)
-    assert w is not None
-    assert sorted(w.neighborhood) == [0, 1, 2]
-    assert all(r.contains_point_open(w.stab) for r in triangle)
+    v = find_simplicial(g)
+    assert v == 0
+    assert g.closed_neighborhood(v) == {0, 1, 2}
 
 
 def test_simplicial_chain_avoids_middle(chain3):
-    g = build_graph(chain3)
-    w = find_simplicial(g, chain3)
-    assert w is not None
-    assert w.vertex in (0, 2)  # the middle rectangle is not simplicial
-    for v in w.neighborhood:
-        assert chain3[v].contains_point_open(w.stab)
+    # the middle rectangle is not simplicial; the answer is vertex 0, which
+    # is falsy, so callers test `is not None` (test_mis_chain takes it)
+    assert find_simplicial(build_graph(chain3)) == 0
 
 
 def test_simplicial_none_on_cycle(frame4):
     g = build_graph(frame4)
-    assert find_simplicial(g, frame4) is None
+    assert find_simplicial(g) is None
 
 
 def test_simplicial_prefers_low_degree():
     # isolated rectangle has degree 0 and is visited first
     rects = [mk(0, 0, 2, 2), mk(1, 0, 3, 2), mk(10, 10, 11, 11)]
     g = build_graph(rects)
-    w = find_simplicial(g, rects)
-    assert w is not None and w.vertex == 2
-    assert w.neighborhood == (2,)
+    assert find_simplicial(g) == 2
+    assert g.closed_neighborhood(2) == {2}
 
 
 def _least_by_degree(g, vertices):
@@ -166,29 +161,26 @@ def test_simplicial_agrees_with_scan():
     for seed in range(60):
         instance = generate_instance(28, seed=1300 + seed)
         g = build_graph(instance.rects)
-        rects = list(instance.rects)
         scan = simplicial_scan(g)
-        w = find_simplicial(g, rects)
+        v = find_simplicial(g)
         if scan:
-            assert w is not None and w.vertex == _least_by_degree(g, scan), seed
-            assert set(w.neighborhood) == g.closed_neighborhood(w.vertex)
+            assert v == _least_by_degree(g, scan), seed
         else:
-            assert w is None, seed
+            assert v is None, seed
 
 
 def test_simplicial_on_residual_graphs():
     # deleting vertices must not confuse the search
     instance = generate_instance(40, seed=4242)
     g = build_graph(instance.rects)
-    rects = list(instance.rects)
     rng = random.Random(0)
     while g.n > 5:
         g = g.remove_vertices([rng.choice(g.vertices())])
         scan = simplicial_scan(g)
-        w = find_simplicial(g, rects)
-        assert (w is not None) == bool(scan)
-        if w is not None:
-            assert w.vertex == _least_by_degree(g, scan)
+        v = find_simplicial(g)
+        assert (v is not None) == bool(scan)
+        if v is not None:
+            assert v == _least_by_degree(g, scan)
 
 
 def test_simplicial_access_budget():
@@ -202,10 +194,10 @@ def test_simplicial_access_budget():
             g = build_graph(rects)
             while g.n:
                 stats = SimplicialSearchStats()
-                w = find_simplicial(g, rects, stats=stats)
+                v = find_simplicial(g, stats=stats)
                 assert stats.entry_accesses <= quadratic_budget(g.n), (n, t, g.n)
-                if w is not None:
-                    g = g.remove_vertices(w.neighborhood)
+                if v is not None:
+                    g = g.remove_vertices(bit_indices(g.neighborhood_mask(v)))
                 else:
                     g = g.remove_vertices([g.max_degree_vertex()])
 
@@ -222,7 +214,7 @@ def test_simplicial_memo_agrees_with_fresh_search(frame4):
 
 # Work of every simplicial search in whole peels, pinned from the search that
 # sorted the live vertices by degree each round: searches made, the first 16
-# hex digits of a sha256 of repr() of the witness vertices in order (None
+# hex digits of a sha256 of repr() of the found vertices in order (None
 # for a failed search), and the summed entry_accesses. A search that visits
 # the same vertices in the same order makes the same clique tests, so it
 # reads the same rows.
@@ -249,17 +241,17 @@ def _search_work_instance(family):
 @pytest.mark.parametrize("family, algo", list(SEARCH_WORK), ids=lambda p: getattr(p, "__name__", p))
 def test_search_work_pinned(family, algo, monkeypatch):
     stats = SimplicialSearchStats()
-    witnesses = []
+    found = []
 
-    def counted(g, rects):
-        w = find_simplicial(g, rects, stats=stats)
-        witnesses.append(None if w is None else w.vertex)
-        return w
+    def counted(g):
+        v = find_simplicial(g, stats=stats)
+        found.append(v)
+        return v
 
     monkeypatch.setattr(heuristics, "find_simplicial", counted)
     algo(_search_work_instance(family))
-    digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
-    assert (len(witnesses), digest, stats.entry_accesses) == SEARCH_WORK[family, algo]
+    digest = hashlib.sha256(repr(found).encode()).hexdigest()[:16]
+    assert (len(found), digest, stats.entry_accesses) == SEARCH_WORK[family, algo]
 
 
 # ------------------------------------------------------- bounded sweeps

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from rectcover import heuristics
 from rectcover.bench import trial_seed
 from rectcover.geometry import (
+    Point,
     UnstabbableOverlapError,
+    common_intersection,
     contains,
     filter_dominated,
     generate_instance,
@@ -51,9 +54,21 @@ def test_gcc_triangle(triangle):
 
 
 def test_gcc_i_triangle(triangle):
+    # the simplicial round's point is the center of the common box (1,2)x(1,2)
     result = gcc_i(inst_of(triangle))
     assert result.size == 1
     assert result.theta_count == 1 and result.phi_count == 0
+    assert result.points == (Point(1.5, 1.5),)
+    assert all(r.contains_point_open(result.points[0]) for r in triangle)
+
+
+def test_gcc_i_chain(chain3):
+    # round one stabs vertex 0's neighborhood {0, 1}, round two vertex 2 alone
+    result = gcc_i(inst_of(chain3))
+    assert result.theta_count == 2 and result.phi_count == 0
+    assert result.points == (Point(2.5, 0.5), Point(5.5, 0.5))
+    assert result.assignment == (0, 0, 1)
+    assert verify_cover(chain3, result.points, result.assignment)
 
 
 def test_gcc_i_frame(frame4):
@@ -70,6 +85,38 @@ def test_gcc_i_counts_sum_to_size():
         result = gcc_i(instance)
         assert result.theta_count + result.phi_count == result.size
         assert result.iterations == result.size
+
+
+STAB_LAYOUTS = {
+    "squares": lambda: inst_of(equal_squares(200, 5151)),
+    "uniform": lambda: generate_instance(300, seed=trial_seed(11, 300, 0)),
+}
+
+
+@pytest.mark.parametrize("layout", list(STAB_LAYOUTS))
+def test_only_covers_build_simplicial_stab_boxes(layout, monkeypatch):
+    # an independent set places no points, so it never intersects boxes; a
+    # refined cover builds one common box per simplicial round
+    calls = []
+
+    def counted(rects):
+        calls.append(len(rects))
+        return common_intersection(rects)
+
+    monkeypatch.setattr(heuristics, "common_intersection", counted)
+    instance = STAB_LAYOUTS[layout]()
+    for algo in (mis_greedy, mis_i):
+        algo(instance)
+        assert calls == [], algo.__name__
+    result = gcc_i(instance)
+    assert result.theta_count > 0
+    assert len(calls) == result.theta_count
+
+
+def test_empty_simplicial_common_box_is_a_typed_error(chain3, monkeypatch):
+    monkeypatch.setattr(heuristics, "common_intersection", lambda rects: None)
+    with pytest.raises(UnstabbableOverlapError, match="no common interior"):
+        gcc_i(inst_of(chain3))
 
 
 # -------------------------------------------------------- independent sets

@@ -2,8 +2,9 @@
 
 ``perfbench/tracer.py`` patches functions and methods by name, and reports
 a name it cannot find as absent instead of failing. This loads it by path
-and checks that nothing is absent and that a traced ``gcc`` solve reaches
-the sweep and segment-tree hooks, so a renamed hook fails here too.
+and checks that nothing is absent, that a traced ``gcc`` solve reaches the
+sweep and segment-tree hooks, so a renamed hook fails here too, and that a
+traced ``mis_greedy`` solve counts one simplicial hit per member it takes.
 """
 
 import importlib.util
@@ -14,6 +15,8 @@ import pytest
 
 from rectcover import heuristics
 from rectcover.geometry import generate_instance
+
+from conftest import inst_of
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,3 +46,14 @@ def test_traced_gcc_counts_sweep_and_segment_tree(tracer_module):
     assert heuristics.max_clique_sweep is original
     for key in ("cliques.max_clique_sweep.calls", "segtree.cells", "segtree.add_calls"):
         assert counts[key] > 0, key
+
+
+@pytest.mark.parametrize("layout", ["uniform", "chain3"])
+def test_traced_mis_counts_one_hit_per_member(tracer_module, layout, chain3):
+    # on chain3 the first hit is vertex 0, which a truthiness test would miss
+    instance = generate_instance(60, seed=7) if layout == "uniform" else inst_of(chain3)
+    tracer = tracer_module.Tracer()
+    with tracer.installed(0) as counts:
+        result = heuristics.mis_greedy(instance)
+    assert counts["cliques.find_simplicial.hits"] == result.size
+    assert counts["cliques.find_simplicial.entry_accesses"] > 0
