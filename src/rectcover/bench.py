@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .cliques import find_simplicial, max_clique_sweep
+from .cliques import CornerDepths, find_simplicial, max_clique_sweep
 from .geometry import Instance, generate_instance
 from .graph import build_graph
 from .heuristics import CoverResult, IndependentSetResult, gcc, gcc_i, mis_greedy, mis_i
@@ -229,7 +229,8 @@ def verify_random(
     """Cross-check heuristics and sweeps against the exact oracles.
 
     Runs ``count`` random instances of size ``n`` and checks, per instance:
-    the sweep maximum clique equals the enumeration oracle's witness; the
+    the sweep's maximum clique and the first one of a ``CornerDepths``
+    state over all rectangles equal the enumeration oracle's witness; the
     simplicial search returns the member of least (degree, id) of the
     brute-force simplicial scan, or None when the scan is empty; every
     heuristic output is valid; and the size sandwich
@@ -248,9 +249,11 @@ def verify_random(
         tag = f"[n={n} seed={seed}]"
 
         sweep = max_clique_sweep(instance.rects) if instance.n else None
+        corners = CornerDepths(instance.rects).max_clique() if instance.n else None
         cand = max_clique_candidates(instance.rects) if instance.n else None
-        if sweep != cand:
-            violations.append(f"{tag} sweep max clique {sweep} != oracle {cand}")
+        wrong = [f"{name} max clique {w}" for name, w in (("sweep", sweep), ("corner", corners)) if w != cand]
+        if wrong:
+            violations.append(f"{tag} {' and '.join(wrong)} != oracle {cand}")
 
         graph = build_graph(instance.rects)
         scan = simplicial_scan(graph)

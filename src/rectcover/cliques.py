@@ -1,23 +1,28 @@
-"""Core engine: sweep-line maximum clique and the simplicial-vertex search.
+"""Core engine: maximum cliques by sweep or corner depths, and the simplicial search.
 
-The sweep exploits the Helly property of axis-parallel boxes: a set of
-rectangles is a clique of the intersection graph exactly when all of them
+Both clique engines exploit the Helly property of axis-parallel boxes: a set
+of rectangles is a clique of the intersection graph exactly when all of them
 share a common interior point, so a maximum clique is a deepest point of the
-overlap arrangement and every clique can be stabbed by one point. The
-simplicial search needs only the graph; a cover that takes a simplicial
-neighborhood places its stab point itself.
+overlap arrangement and every clique can be stabbed by one point. The sweep
+starts from scratch each call; ``CornerDepths`` keeps the depths of the
+candidate corners across the deletions of a peel. The simplicial search
+needs only the graph; a cover that takes a simplicial neighborhood places
+its stab point itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Point, UnstabbableOverlapError
+import numpy as np
+
+from .geometry import Point, UnstabbableOverlapError, _bounds_arrays, _small_ufunc_buffer
 from .graph import IntersectionGraph
 from .segtree import MaxAddSegmentTree
 
 __all__ = [
     "CliqueWitness",
+    "CornerDepths",
     "SimplicialSearchStats",
     "max_clique_sweep",
     "find_simplicial",
@@ -148,6 +153,153 @@ def _inside(a: float, b: float, lows) -> float:
     if a < mid < b:
         return mid
     return b if a in lows else a
+
+
+@_small_ufunc_buffer()
+def _corner_points(bounds):
+    """The distinct corners of the given boxes' pairs, in (-y, x) order.
+
+    ``bounds`` is the ``(lx, ly, hx, hy)`` array tuple of the boxes. Boxes
+    ``a`` and ``b`` give the corner ``(lx[a], hy[b])`` when the cell just
+    right of and below it lies in both: ``lx[b] <= lx[a] < hx[b]`` and
+    ``ly[a] < hy[b] <= hy[a]``. Every box qualifies with itself, and two
+    different boxes qualify only if they overlap.
+    """
+    lx, ly, hx, hy = bounds
+    xs, ys = [], []
+    block = 256
+    for start in range(0, len(lx), block):
+        a = slice(start, start + block)
+        pair = (
+            (lx[None, :] <= lx[a, None])
+            & (lx[a, None] < hx[None, :])
+            & (ly[a, None] < hy[None, :])
+            & (hy[None, :] <= hy[a, None])
+        )
+        rows, cols = np.nonzero(pair)
+        xs.append(lx[a][rows])
+        ys.append(hy[cols])
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    order = np.lexsort((x, -y))
+    x, y = x[order], y[order]
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    return x[new], y[new]
+
+
+class CornerDepths:
+    """Maximum cliques of a shrinking set of boxes, from the depths of corners.
+
+    The first deepest cell of the live boxes in the sweep's order (by y-gap
+    from the top, then by x-cell from the left) has its top-left corner at
+    ``(lo.x[a], hi.y[b])`` for members ``a`` and ``b``, ``a == b`` allowed:
+    otherwise the cell to its left or above it would lie in every member
+    and come first. So the state lists the corners of every pair of boxes
+    live when it is built (see ``_corner_points``), once per point, in
+    (-y, x) order, with each corner's depth: the number of live boxes that
+    cover the cell just right of and below it, that is whose ``lo.x <= x <
+    hi.x`` and ``lo.y < y <= hi.y``. ``remove`` lowers the depths of the
+    corners a deleted box covers. Only the corners in the box's y-slice of
+    that order can be covered, or in its x-slice of the corners sorted by
+    x; the shorter slice is tested.
+
+    Corners of dead boxes stay listed: a corner's cell lies in one cell of
+    the live boxes' arrangement and is as deep. Every point of a live cell
+    after the first deepest one in sweep order, and every point of that
+    cell but its top-left corner, comes after that corner in (-y, x)
+    order. So the first deepest corner is the first deepest live cell's
+    top-left corner, and ``max_clique`` returns the witness
+    ``max_clique_sweep`` returns over the live boxes.
+
+    Building costs one pairwise test of the live boxes in numpy blocks, as
+    many as k + 2E corners for k live boxes with E overlapping pairs, and
+    one slice per box for the starting depths.
+    """
+
+    def __init__(self, rects, live=None):
+        """State over ``rects``, of which the indices in ``live`` (default all) are live.
+
+        Raises:
+            ValueError: if no rectangle is live.
+        """
+        self._bounds = lx, ly, hx, hy = _bounds_arrays(list(rects))
+        self._live = np.zeros(len(lx), dtype=bool)
+        self._live[slice(None) if live is None else list(live)] = True
+        ids = np.flatnonzero(self._live)
+        if not len(ids):
+            raise ValueError("CornerDepths needs at least one live rectangle")
+        self._x, self._y = _corner_points(tuple(a[ids] for a in self._bounds))
+        self._by_x = np.argsort(self._x, kind="stable")
+        neg_y, sorted_x = -self._y, self._x[self._by_x]
+        # per box: its y-slice [y0, y1) and x-slice [x0, x1) of the two
+        # orders, and its bounds as Python floats
+        self._slices = list(
+            zip(
+                np.searchsorted(neg_y, -hy).tolist(),
+                np.searchsorted(neg_y, -ly).tolist(),
+                np.searchsorted(sorted_x, lx).tolist(),
+                np.searchsorted(sorted_x, hx).tolist(),
+                *(a.tolist() for a in self._bounds),
+            )
+        )
+        self._depth = np.zeros(len(self._x), dtype=np.int64)
+        for v in ids.tolist():
+            self._shift(v, 1)
+
+    def _shift(self, v: int, delta: int) -> None:
+        """Add ``delta`` to the depth of every corner box ``v`` covers."""
+        y0, y1, x0, x1, lx, ly, hx, hy = self._slices[v]
+        if y1 - y0 <= x1 - x0:
+            x = self._x[y0:y1]
+            self._depth[y0:y1] += delta * ((lx <= x) & (x < hx))
+        else:
+            at = self._by_x[x0:x1]
+            y = self._y[at]
+            self._depth[at[(ly < y) & (y <= hy)]] += delta
+
+    def remove(self, vertices) -> None:
+        """Delete the given live boxes.
+
+        Raises:
+            ValueError: if one of them is not live.
+        """
+        for v in vertices:
+            if not self._live[v]:
+                raise ValueError(f"rectangle {v} is not live")
+            self._live[v] = False
+            self._shift(v, -1)
+
+    def max_clique(self) -> CliqueWitness:
+        """The live boxes' maximum clique, as ``max_clique_sweep`` gives it.
+
+        The first deepest corner is the top-left corner of the sweep's cell;
+        the next live x to its right and the next live y below it close the
+        cell, and ``_inside`` places the stab point in it as the sweep does.
+        Members index ``rects`` and ascend.
+
+        Raises:
+            ValueError: if no rectangle is live.
+            UnstabbableOverlapError: where ``max_clique_sweep`` raises it.
+        """
+        ids = np.flatnonzero(self._live)
+        if not len(ids):
+            raise ValueError("no rectangle is live")
+        c = int(self._depth.argmax())  # the first maximum
+        depth = int(self._depth[c])
+        left, top = float(self._x[c]), float(self._y[c])
+        lx, ly, hx, hy = (a[ids] for a in self._bounds)
+        xs, ys = np.concatenate((lx, hx)), np.concatenate((ly, hy))
+        stab = Point(
+            _inside(left, float(xs[xs > left].min()), lx),
+            _inside(float(ys[ys < top].max()), top, ly),
+        )
+        inside = (lx < stab.x) & (stab.x < hx) & (ly < stab.y) & (stab.y < hy)
+        members = tuple(ids[inside].tolist())
+        if len(members) != depth:
+            raise UnstabbableOverlapError(
+                f"corner depth {depth} disagrees with {len(members)} members at {stab}"
+            )
+        return CliqueWitness(members, stab)
 
 
 def find_simplicial(g: IntersectionGraph, stats: SimplicialSearchStats | None = None) -> int | None:

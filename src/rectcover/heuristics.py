@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .cliques import find_simplicial, max_clique_sweep
+from .cliques import CornerDepths, find_simplicial, max_clique_sweep
 from .geometry import Instance, Point, UnstabbableOverlapError, common_intersection, filter_dominated
 from .graph import bit_indices, build_graph
 
@@ -62,59 +62,73 @@ class IndependentSetResult:
         return len(self.members)
 
 
-def _max_clique(graph, rects, bound):
-    """Stuck step: the live vertices of a maximum clique and its stab point.
-
-    ``bound`` is at least the live graph's maximum clique size; the sweep
-    stops at the first cell that deep.
-    """
-    vs = graph.vertices()
-    witness = max_clique_sweep([rects[v] for v in vs], bound=bound)
-    return tuple(vs[local] for local in witness.members), witness.stab
+# A CornerDepths build lists at most k + 2E corners for k boxes with E
+# overlapping pairs. Sweeping until the sweeps have built this multiple of
+# k + 2E (for the kept boxes) edge events pays for a build only in peels
+# with many stuck rounds, as rent-or-buy does; the few stuck rounds that
+# gcc_i and mis_i usually take do not reach it. Tests set it to 0 and inf.
+_CORNER_SWITCH = 1.0
 
 
-def _max_degree(graph, rects, bound):
-    """Stuck step: the single maximum-degree live vertex, with no stab point.
-
-    ``bound`` is ignored.
-    """
-    return (graph.max_degree_vertex(),), None
-
-
-def _peel(instance: Instance, simplicial: bool, stuck):
+def _peel(instance: Instance, simplicial: bool, cliques: bool):
     """Peel the kept rectangles' graph; one ``(vertex, members, stab)`` per round.
 
     A round deletes a simplicial vertex's closed neighborhood if
-    ``simplicial`` is set and one exists, with ``stab`` None, else what
-    ``stuck(graph, rects, bound)`` returns, with ``vertex`` None. Vertex ids
-    index ``kept``; ``kept`` and ``removed`` are as ``filter_dominated``
-    gives them.
+    ``simplicial`` is set and one exists, with ``stab`` None. Otherwise it
+    takes the stuck step, with ``vertex`` None: a maximum clique and its
+    stab point if ``cliques`` is set, else the single maximum-degree vertex
+    and no point. Vertex ids index ``kept``; ``kept`` and ``removed`` are as
+    ``filter_dominated`` gives them.
 
-    ``bound`` is the live graph's maximum degree plus one, or the size of
-    the last stuck step's members if that is less. Live sets only shrink,
-    so when the stuck step takes maximum cliques both bound the live
-    graph's maximum clique.
+    A maximum clique comes from ``max_clique_sweep`` over the live
+    rectangles. A sweep builds and sorts two edge events per rectangle;
+    once the sweeps have built ``_CORNER_SWITCH * (k + 2E)`` of them, the
+    loop builds a ``CornerDepths`` state over the live rectangles, takes
+    every later clique from it and tells it every deletion. Both give the
+    same witness, so the switch changes no round.
+
+    A sweep's ``bound`` is the live graph's maximum degree plus one, or the
+    size of the last stuck step's clique if that is less. Live sets only
+    shrink, so both bound the live graph's maximum clique.
     """
     kept, removed = filter_dominated(instance)
     rects = [instance.rects[i] for i in kept]
     graph = build_graph(rects)
     rounds = []
     last = graph.n
+    budget = _CORNER_SWITCH * (graph.n + 2 * graph.edge_count())
+    swept = 0
+    corners = None
     while graph.n:
         vertex = find_simplicial(graph) if simplicial else None
         if vertex is not None:
             step = (vertex, bit_indices(graph.neighborhood_mask(vertex)), None)
+        elif not cliques:
+            step = (None, (graph.max_degree_vertex(),), None)
         else:
-            step = (None, *stuck(graph, rects, min(last, len(graph.degree_classes()))))
-            last = len(step[1])
+            if corners is None and swept >= budget:
+                corners = CornerDepths(rects, graph.vertices())
+            if corners is not None:
+                witness = corners.max_clique()
+                members = witness.members
+            else:
+                vs = graph.vertices()
+                bound = min(last, len(graph.degree_classes()))
+                witness = max_clique_sweep([rects[v] for v in vs], bound=bound)
+                swept += 2 * len(vs)
+                members = tuple(vs[local] for local in witness.members)
+            step = (None, members, witness.stab)
+            last = len(members)
         rounds.append(step)
+        if corners is not None:
+            corners.remove(step[1])
         graph = graph.remove_vertices(step[1])
     return kept, removed, rounds
 
 
 def _cover(instance: Instance, simplicial: bool) -> CoverResult:
     t0 = time.perf_counter()
-    kept, removed, rounds = _peel(instance, simplicial, _max_clique)
+    kept, removed, rounds = _peel(instance, simplicial, True)
     points = []
     assignment = [0] * instance.n
     for pid, (vertex, members, stab) in enumerate(rounds):
@@ -140,9 +154,9 @@ def _cover(instance: Instance, simplicial: bool) -> CoverResult:
     )
 
 
-def _independent(instance: Instance, stuck) -> IndependentSetResult:
+def _independent(instance: Instance, cliques: bool) -> IndependentSetResult:
     t0 = time.perf_counter()
-    kept, _, rounds = _peel(instance, True, stuck)
+    kept, _, rounds = _peel(instance, True, cliques)
     chosen = sorted(kept[vertex] for vertex, _, _ in rounds if vertex is not None)
     return IndependentSetResult(tuple(chosen), time.perf_counter() - t0)
 
@@ -170,7 +184,7 @@ def mis_greedy(instance: Instance) -> IndependentSetResult:
     of the residual graph is deleted (ties to the lowest id), since losing a
     crowded rectangle is most likely to create a simplicial one.
     """
-    return _independent(instance, _max_degree)
+    return _independent(instance, cliques=False)
 
 
 def mis_i(instance: Instance) -> IndependentSetResult:
@@ -179,4 +193,4 @@ def mis_i(instance: Instance) -> IndependentSetResult:
     Identical to the greedy independent set except that, when no simplicial
     vertex exists, all members of a maximum clique are deleted at once.
     """
-    return _independent(instance, _max_clique)
+    return _independent(instance, cliques=True)

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from rectcover.cliques import find_simplicial
-from rectcover.geometry import Instance, Point, Rectangle, Region, contains
+from rectcover.cliques import CliqueWitness, CornerDepths, find_simplicial, max_clique_sweep
+from rectcover.geometry import Instance, Point, Rectangle, Region, UnstabbableOverlapError, contains
 from rectcover.graph import bit_indices, build_graph
 from rectcover.oracles import simplicial_scan
 
@@ -124,6 +124,31 @@ def check_remembered_search(rects, seed):
             batch = rng.sample(live, min(len(live), rng.randint(1, 4)))
         deleted += batch
         g = g.remove_vertices(batch)
+
+
+def _witness_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except UnstabbableOverlapError:
+        return UnstabbableOverlapError
+
+
+def check_corner_state_follows_sweeps(rects, rng):
+    """Delete ``rects`` in batches of 1 to 3 drawn by ``rng``; before every
+    deletion the corner state's maximum clique must be the sweep's over the
+    live boxes, with the sweep's local indices mapped back to ``rects``,
+    and the state must raise ``UnstabbableOverlapError`` exactly where the
+    sweep does."""
+    state = CornerDepths(rects)
+    live = list(range(len(rects)))
+    while live:
+        sweep = _witness_or_error(max_clique_sweep, [rects[v] for v in live])
+        if sweep is not UnstabbableOverlapError:
+            sweep = CliqueWitness(tuple(live[i] for i in sweep.members), sweep.stab)
+        assert _witness_or_error(state.max_clique) == sweep, live
+        batch = rng.sample(live, min(len(live), rng.randint(1, 3)))
+        state.remove(batch)
+        live = [v for v in live if v not in batch]
 
 
 @pytest.fixture

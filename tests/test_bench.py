@@ -134,6 +134,20 @@ def test_verify_random_compares_whole_witnesses(monkeypatch):
     assert all("sweep max clique" in v for v in violations)
 
 
+def test_verify_random_checks_the_corner_state(monkeypatch):
+    # a corner state whose witness lacks a member disagrees with the oracle
+    # and the sweep does not
+    class Short(bench.CornerDepths):
+        def max_clique(self):
+            witness = super().max_clique()
+            return replace(witness, members=witness.members[1:])
+
+    monkeypatch.setattr(bench, "CornerDepths", Short)
+    violations = verify_random(2, 11, base_seed=2)
+    assert len(violations) == 2
+    assert all("corner max clique" in v and "sweep max clique" not in v for v in violations)
+
+
 def test_verify_random_wants_the_least_simplicial_vertex(monkeypatch):
     # a simplicial vertex that is not the scan's least (degree, id) one is
     # still a violation

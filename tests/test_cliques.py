@@ -6,17 +6,19 @@ import pytest
 from rectcover import heuristics
 from rectcover.cliques import (
     CliqueWitness,
+    CornerDepths,
     SimplicialSearchStats,
     find_simplicial,
     max_clique_sweep,
 )
 from rectcover.geometry import Point, filter_dominated, generate_instance
-from rectcover.graph import bit_indices, build_graph
+from rectcover.graph import IntersectionGraph, bit_indices, build_graph
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import max_clique_candidates, simplicial_scan
 from rectcover.segtree import MaxAddSegmentTree
 
 from conftest import (
+    check_corner_state_follows_sweeps,
     check_remembered_search,
     crossing_bars,
     equal_squares,
@@ -120,6 +122,52 @@ def test_max_clique_bound_stops_at_first_deepest_cell():
     assert max_clique_sweep(rects, bound=2) == CliqueWitness((0, 1), Point(1.5, 5.0))
     assert max_clique_sweep(rects, bound=3) == max_clique_sweep(rects)
     assert max_clique_sweep(rects).members == (2, 3, 4)
+
+
+# ----------------------------------------------------------- corner state
+
+
+def test_corner_state_matches_sweep_and_oracle(triangle, chain3, frame4):
+    for rects in (triangle, chain3, frame4, crossing_bars(5), [mk(0, 0, 1, 1)]):
+        assert CornerDepths(rects).max_clique() == max_clique_sweep(rects) == max_clique_candidates(rects)
+    rng = random.Random(2025)
+    for t in range(60):
+        rects = snapped_boxes(rng, rng.randrange(1, 25), rng.choice((3, 4, 6, 9)))
+        assert CornerDepths(rects).max_clique() == max_clique_candidates(rects), t
+
+
+def test_corner_state_follows_sweeps_through_deletions():
+    for seed in range(6):
+        rng = random.Random(seed)
+        check_corner_state_follows_sweeps(list(generate_instance(60, seed=3300 + seed).rects), rng)
+        check_corner_state_follows_sweeps(equal_squares(60, 3400 + seed), rng)
+        check_corner_state_follows_sweeps(nested_clusters(60, 3, 3500 + seed), rng)
+        check_corner_state_follows_sweeps(snapped_boxes(rng, 40, 5), rng)
+    # each bar's x-slice or y-slice is about k corners of about k * k
+    check_corner_state_follows_sweeps(crossing_bars(10), random.Random(0))
+
+
+def test_corner_state_starts_from_the_live_boxes():
+    # the pair on top is dead, so the live triple below is the clique
+    rects = [mk(0, 4, 2, 6), mk(1, 4, 3, 6), mk(0, 0, 2, 2), mk(1, 0, 3, 2), mk(1, 1, 3, 3), mk(0, 5, 3, 7)]
+    state = CornerDepths(rects, [2, 3, 4])
+    assert state.max_clique() == CliqueWitness((2, 3, 4), Point(1.5, 1.5))
+    assert CornerDepths(rects, [0, 1, 2]).max_clique() == CliqueWitness((0, 1), Point(1.5, 5.0))
+
+
+def test_corner_state_rejects_dead_and_empty():
+    with pytest.raises(ValueError, match="at least one"):
+        CornerDepths([])
+    with pytest.raises(ValueError, match="at least one"):
+        CornerDepths([mk(0, 0, 1, 1)], [])
+    state = CornerDepths([mk(0, 0, 1, 1), mk(2, 0, 3, 1)], [1])
+    with pytest.raises(ValueError, match="not live"):
+        state.remove([0])
+    state.remove([1])
+    with pytest.raises(ValueError, match="not live"):
+        state.remove([1])
+    with pytest.raises(ValueError, match="no rectangle is live"):
+        state.max_clique()
 
 
 # ------------------------------------------------------- simplicial search
@@ -274,27 +322,33 @@ def test_bounded_sweeps_match_full_sweeps_in_peels(family, algo, monkeypatch):
     assert bounds
 
 
-# Sweeps made and MaxAddSegmentTree.add calls in whole peels. The sweep
-# reads depths only after a batch with a top edge and stops at the first
-# cell as deep as its bound; the full sweeps the peels made before, with
-# the same number of sweeps, called add 3234, 600, 600, 4436, 2474, 2474,
-# 312, 308 and 308 times, in this table's order.
+# Sweeps made, MaxAddSegmentTree.add calls and the round that builds the
+# corner state (None if no round does) in whole peels. The sweep reads
+# depths only after a batch with a top edge and stops at the first cell as
+# deep as its bound; the full sweeps the peels made before, with the same
+# number of sweeps, called add 3234, 600, 600, 4436, 2474, 2474, 312, 308
+# and 308 times, in this table's order. Before the corner state took over
+# the later stuck rounds, the gcc peels swept in every round: 45 sweeps and
+# 1900 adds on uniform, 34 and 3367 on squares. Every gcc round is stuck,
+# so there the state is built in the round after the last sweep.
 SWEEP_WORK = {
-    ("uniform", gcc): (45, 1900),
-    ("uniform", gcc_i): (7, 569),
-    ("uniform", mis_i): (7, 569),
-    ("squares", gcc): (34, 3367),
-    ("squares", gcc_i): (11, 1864),
-    ("squares", mis_i): (11, 1864),
-    ("bars", gcc): (12, 125),
-    ("bars", gcc_i): (11, 123),
-    ("bars", mis_i): (11, 123),
+    ("uniform", gcc): (9, 1222, 9),
+    ("uniform", gcc_i): (7, 569, None),
+    ("uniform", mis_i): (7, 569, None),
+    ("squares", gcc): (19, 3150, 19),
+    ("squares", gcc_i): (11, 1864, None),
+    ("squares", mis_i): (11, 1864, None),
+    ("bars", gcc): (12, 125, None),
+    ("bars", gcc_i): (11, 123, None),
+    ("bars", mis_i): (11, 123, None),
 }
 
 
 @pytest.mark.parametrize("family, algo", list(SWEEP_WORK), ids=lambda p: getattr(p, "__name__", p))
 def test_sweep_work_pinned(family, algo, monkeypatch):
     work = [0, 0]
+    rounds = [0]
+    switch = []
 
     def counted_sweep(rects, **kwargs):
         work[0] += 1
@@ -304,8 +358,20 @@ def test_sweep_work_pinned(family, algo, monkeypatch):
         work[1] += 1
         add(tree, lo, hi, delta)
 
+    def counted_removal(graph, vertices):
+        rounds[0] += 1
+        return remove_vertices(graph, vertices)
+
+    def recorded_build(rects, live):
+        switch.append(rounds[0])
+        return CornerDepths(rects, live)
+
     add = MaxAddSegmentTree.add
+    remove_vertices = IntersectionGraph.remove_vertices
     monkeypatch.setattr(heuristics, "max_clique_sweep", counted_sweep)
     monkeypatch.setattr(MaxAddSegmentTree, "add", counted_add)
+    monkeypatch.setattr(IntersectionGraph, "remove_vertices", counted_removal)
+    monkeypatch.setattr(heuristics, "CornerDepths", recorded_build)
     algo(_search_work_instance(family))
-    assert tuple(work) == SWEEP_WORK[family, algo]
+    assert len(switch) <= 1
+    assert (*work, switch[0] if switch else None) == SWEEP_WORK[family, algo]

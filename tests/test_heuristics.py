@@ -1,8 +1,11 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectcover import heuristics
 from rectcover.bench import trial_seed
@@ -18,7 +21,7 @@ from rectcover.graph import build_graph
 from rectcover.heuristics import CoverResult, gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import exact_mcc, exact_mis, verify_cover, verify_independent
 
-from conftest import crossing_bars, equal_squares, inst_of, mk, nested_clusters
+from conftest import crossing_bars, equal_squares, inst_of, mk, nested_clusters, snapped_boxes
 
 
 # ------------------------------------------------------------ cover: plain
@@ -386,19 +389,18 @@ def _check_valid(algo, instance):
         assert verify_independent(instance.rects, result.members)
 
 
+UNSTABBABLE = {
+    # overlap (0.5, ULP1) on x holds no double
+    "overlap-x": [mk(0, 0, ULP1, 1), mk(0.5, 0, 1, 1)],
+    # the same on y
+    "overlap-y": [mk(0, 0, 1, ULP1), mk(0, 0.5, 1, 1)],
+    # one rectangle one ulp wide, next to a normal one
+    "one-ulp-wide": [mk(0, 0, 1, 1), mk(0.5, 2, ULP1, 3)],
+}
+
+
 @pytest.mark.parametrize("algo", ALL_HEURISTICS)
-@pytest.mark.parametrize(
-    "rects",
-    [
-        # overlap (0.5, ULP1) on x holds no double
-        [mk(0, 0, ULP1, 1), mk(0.5, 0, 1, 1)],
-        # the same on y
-        [mk(0, 0, 1, ULP1), mk(0, 0.5, 1, 1)],
-        # one rectangle one ulp wide, next to a normal one
-        [mk(0, 0, 1, 1), mk(0.5, 2, ULP1, 3)],
-    ],
-    ids=["overlap-x", "overlap-y", "one-ulp-wide"],
-)
+@pytest.mark.parametrize("rects", list(UNSTABBABLE.values()), ids=list(UNSTABBABLE))
 def test_unstabbable_overlap_is_a_typed_error(algo, rects):
     with pytest.raises(UnstabbableOverlapError):
         algo(inst_of(rects))
@@ -413,19 +415,102 @@ def test_solves_keep_the_callers_ufunc_buffer(algo, caller_bufsize):
     assert np.getbufsize() == caller_bufsize
 
 
+TWO_ULPS = {
+    # overlap (0.5, ULP2) holds ULP1
+    "overlap-x": [mk(0, 0, ULP2, 1), mk(0.5, 0, 1, 1)],
+    "overlap-y": [mk(0, 0, 1, ULP2), mk(0, 0.5, 1, 1)],
+    # sweep cells one ulp wide whose midpoint rounds onto a member's
+    # edge: the cell (0.5, ULP1) on x, the gap (ULP1, ULP2) on y
+    "thin-cell-x": [mk(0.5, 2, 0.8, 3), mk(ULP1, 0, 0.9, 1)],
+    "thin-gap-y": [mk(0, 0.2, 1, ULP2), mk(2, 0.1, 3, ULP1)],
+}
+
+
 @pytest.mark.parametrize("algo", ALL_HEURISTICS)
-@pytest.mark.parametrize(
-    "rects",
-    [
-        # overlap (0.5, ULP2) holds ULP1
-        [mk(0, 0, ULP2, 1), mk(0.5, 0, 1, 1)],
-        [mk(0, 0, 1, ULP2), mk(0, 0.5, 1, 1)],
-        # sweep cells one ulp wide whose midpoint rounds onto a member's
-        # edge: the cell (0.5, ULP1) on x, the gap (ULP1, ULP2) on y
-        [mk(0.5, 2, 0.8, 3), mk(ULP1, 0, 0.9, 1)],
-        [mk(0, 0.2, 1, ULP2), mk(2, 0.1, 3, ULP1)],
-    ],
-    ids=["overlap-x", "overlap-y", "thin-cell-x", "thin-gap-y"],
-)
+@pytest.mark.parametrize("rects", list(TWO_ULPS.values()), ids=list(TWO_ULPS))
 def test_overlaps_two_ulps_wide_solve(algo, rects):
     _check_valid(algo, inst_of(rects))
+
+
+# ------------------------------------------------------ corner-state switch
+
+CLIQUE_HEURISTICS = [gcc, gcc_i, mis_i]
+
+
+PEEL, CORNER_DEPTHS = heuristics._peel, heuristics.CornerDepths
+
+
+def _peels(algo, instance, monkeypatch, switch):
+    """``algo``'s result and its peel's rounds with ``_CORNER_SWITCH`` set to
+    ``switch``: 0 builds the corner state in the first stuck round, inf never."""
+    peels = []
+    builds = []
+
+    def recorded(*args):
+        peels.append(PEEL(*args))
+        return peels[-1]
+
+    def counted(*args):
+        builds.append(args)
+        return CORNER_DEPTHS(*args)
+
+    monkeypatch.setattr(heuristics, "_CORNER_SWITCH", switch)
+    monkeypatch.setattr(heuristics, "_peel", recorded)
+    monkeypatch.setattr(heuristics, "CornerDepths", counted)
+    result = algo(instance)
+    stuck = any(vertex is None for vertex, _, _ in peels[0][2])
+    assert len(builds) == (stuck and switch == 0)
+    return result, peels[0]
+
+
+def _same_with_and_without_corners(algo, instance, monkeypatch):
+    try:
+        swept = _peels(algo, instance, monkeypatch, math.inf)
+    except UnstabbableOverlapError:
+        with pytest.raises(UnstabbableOverlapError):
+            _peels(algo, instance, monkeypatch, 0.0)
+        return
+    assert _peels(algo, instance, monkeypatch, 0.0) == swept
+
+
+def _family_instance(family, n, seed):
+    if family == "uniform":
+        return generate_instance(n, seed=seed)
+    if family == "squares":
+        return inst_of(equal_squares(n, seed))
+    if family == "snapped":
+        # shared coordinates and touching edges on a grid of 2 to 12 steps
+        return inst_of(snapped_boxes(random.Random(seed), n, 2 + seed % 11))
+    if family == "nested":
+        return inst_of(nested_clusters(n, 1 + seed % 6, seed))
+    return inst_of(crossing_bars(1 + n % 20))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["uniform", "squares", "snapped", "nested", "bars"]),
+    st.integers(1, 90),
+    st.integers(0, 2**32),
+)
+def test_corner_state_keeps_every_round(family, n, seed):
+    # hypothesis runs every example in one test call, so the switch is set
+    # and restored by hand instead of by a function-scoped fixture
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        instance = _family_instance(family, n, seed)
+        for algo in CLIQUE_HEURISTICS:
+            _same_with_and_without_corners(algo, instance, monkeypatch)
+
+
+ONE_ULP_CASES = {
+    **{f"unstabbable-{k}": v for k, v in UNSTABBABLE.items()},
+    **{f"two-ulps-{k}": v for k, v in TWO_ULPS.items()},
+}
+
+
+@pytest.mark.parametrize("algo", CLIQUE_HEURISTICS)
+@pytest.mark.parametrize("rects", list(ONE_ULP_CASES.values()), ids=list(ONE_ULP_CASES))
+def test_one_ulp_cases_through_the_corner_state(algo, rects, monkeypatch):
+    # the sweep path raises on the unstabbable cases and solves the others
+    # (the tests above), so the state path must too
+    _same_with_and_without_corners(algo, inst_of(rects), monkeypatch)
+

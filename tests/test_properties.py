@@ -21,7 +21,7 @@ from rectcover.oracles import (
     verify_independent,
 )
 
-from conftest import check_remembered_search, first_kept_inside, inst_of, mk
+from conftest import check_corner_state_follows_sweeps, check_remembered_search, first_kept_inside, inst_of, mk
 
 HALF = 0.5
 COORDS = [0.0, math.nextafter(HALF, 0.0), HALF, math.nextafter(HALF, 1.0), 1.0, 2.0, 3.0]
@@ -113,3 +113,11 @@ def test_output_checks_match_pairwise_tests(rects, data):
     )
     assert verify_cover(rects, points, assignment) == covered
     assert verify_cover(rects, points) == all(any(r.contains_point_open(p) for p in points) for r in rects)
+
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(boxes, st.randoms(use_true_random=False))
+def test_corner_state_follows_sweeps_through_deletions(rects, rng):
+    if rects:
+        check_corner_state_follows_sweeps(rects, rng)
