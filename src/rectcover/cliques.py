@@ -13,6 +13,7 @@ its stab point itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -87,25 +88,22 @@ def max_clique_sweep(rects, *, bound: int | None = None) -> CliqueWitness:
     elif bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
 
-    xs = sorted({r.lo.x for r in rects} | {r.hi.x for r in rects})
-    x_id = {x: i for i, x in enumerate(xs)}
+    bounds = lx, ly, hx, hy = _bounds_arrays(rects)
+    xs = np.unique(np.concatenate((lx, hx)))
+    first, end = np.searchsorted(xs, lx).tolist(), np.searchsorted(xs, hx).tolist()
+    xs = xs.tolist()
     tree = MaxAddSegmentTree(len(xs) - 1)
     add = tree.add
 
     # an event is (-y, kind, first cell, end cell) and adds -kind to its
     # cells: tops (+1) sort first at equal y
     TOP, BOTTOM = -1, 1
-    events = []
-    for r in rects:
-        a = x_id[r.lo.x]
-        b = x_id[r.hi.x]
-        events.append((-r.hi.y, TOP, a, b))
-        events.append((-r.lo.y, BOTTOM, a, b))
+    events = [*zip((-hy).tolist(), repeat(TOP), first, end)]
+    events += zip((-ly).tolist(), repeat(BOTTOM), first, end)
     events.sort()
 
     best_depth = 0
-    best_cell = -1
-    best_gap = (0.0, 0.0)
+    best_cell = None  # (x0, x1, y0, y1)
 
     # a batch of equal-y events ends where the next one starts; the tree
     # then holds the depths of the gap between the two y values. Tops sort
@@ -119,23 +117,33 @@ def max_clique_sweep(rects, *, bound: int | None = None) -> CliqueWitness:
                 depth, cell = tree.peek_max()
                 if depth > best_depth:
                     best_depth = depth
-                    best_cell = cell
-                    best_gap = (-neg_y, -batch_y)  # (lower y, upper y)
+                    best_cell = (xs[cell], xs[cell + 1], -neg_y, -batch_y)
                     if depth >= bound:
                         break
             batch_y = neg_y
             rises = kind == TOP
         add(a, b, -kind)
 
-    stab = Point(
-        _inside(xs[best_cell], xs[best_cell + 1], (r.lo.x for r in rects)),
-        _inside(best_gap[0], best_gap[1], (r.lo.y for r in rects)),
-    )
-    members = tuple(i for i, r in enumerate(rects) if r.contains_point_open(stab))
-    if len(members) != best_depth:
-        raise UnstabbableOverlapError(
-            f"sweep depth {best_depth} disagrees with {len(members)} members at {stab}"
-        )
+    return _witness(np.arange(len(rects)), bounds, best_depth, best_cell)
+
+
+def _witness(ids, bounds, depth: int, cell) -> CliqueWitness:
+    """The witness of the cell ``(x0, x1, y0, y1)``, ``depth`` boxes deep.
+
+    ``bounds`` holds the ``lx, ly, hx, hy`` arrays of the boxes whose
+    consecutive coordinates bound the cell, and ``ids`` their ascending ids.
+    ``_inside`` places the stab point; the members are the ids of the boxes
+    whose open interiors hold it. Where a one-ulp cell has both corners on
+    a member's boundary, the count is not ``depth`` and
+    ``UnstabbableOverlapError`` is raised.
+    """
+    lx, ly, hx, hy = bounds
+    x0, x1, y0, y1 = cell
+    stab = Point(_inside(x0, x1, lx), _inside(y0, y1, ly))
+    inside = (lx < stab.x) & (stab.x < hx) & (ly < stab.y) & (stab.y < hy)
+    members = tuple(ids[inside].tolist())
+    if len(members) != depth:
+        raise UnstabbableOverlapError(f"depth {depth} disagrees with {len(members)} members at {stab}")
     return CliqueWitness(members, stab)
 
 
@@ -198,10 +206,10 @@ class CornerDepths:
     live when it is built (see ``_corner_points``), once per point, in
     (-y, x) order, with each corner's depth: the number of live boxes that
     cover the cell just right of and below it, that is whose ``lo.x <= x <
-    hi.x`` and ``lo.y < y <= hi.y``. ``remove`` lowers the depths of the
-    corners a deleted box covers. Only the corners in the box's y-slice of
-    that order can be covered, or in its x-slice of the corners sorted by
-    x; the shorter slice is tested.
+    hi.x`` and ``lo.y < y <= hi.y``. Only the corners in a box's y-slice of
+    that order can be covered, so a box is kept as that slice and its
+    x-bounds, and ``remove`` lowers the corners of a deleted box's slice
+    that pass the x test.
 
     Corners of dead boxes stay listed: a corner's cell lies in one cell of
     the live boxes' arrangement and is as deep. Every point of a live cell
@@ -220,26 +228,25 @@ class CornerDepths:
         """State over ``rects``, of which the indices in ``live`` (default all) are live.
 
         Raises:
-            ValueError: if no rectangle is live.
+            ValueError: if no rectangle is live, or an index is not one of ``rects``.
         """
         self._bounds = lx, ly, hx, hy = _bounds_arrays(list(rects))
         self._live = np.zeros(len(lx), dtype=bool)
-        self._live[slice(None) if live is None else list(live)] = True
+        for v in range(len(lx)) if live is None else live:
+            if not 0 <= v < len(lx):
+                raise ValueError(f"rectangle {v} is not in range({len(lx)})")
+            self._live[v] = True
         ids = np.flatnonzero(self._live)
         if not len(ids):
             raise ValueError("CornerDepths needs at least one live rectangle")
         self._x, self._y = _corner_points(tuple(a[ids] for a in self._bounds))
-        self._by_x = np.argsort(self._x, kind="stable")
-        neg_y, sorted_x = -self._y, self._x[self._by_x]
-        # per box: its y-slice [y0, y1) and x-slice [x0, x1) of the two
-        # orders, and its bounds as Python floats
+        # per box: its y-slice [y0, y1) of the corners and its x-bounds
         self._slices = list(
             zip(
-                np.searchsorted(neg_y, -hy).tolist(),
-                np.searchsorted(neg_y, -ly).tolist(),
-                np.searchsorted(sorted_x, lx).tolist(),
-                np.searchsorted(sorted_x, hx).tolist(),
-                *(a.tolist() for a in self._bounds),
+                np.searchsorted(-self._y, -hy).tolist(),
+                np.searchsorted(-self._y, -ly).tolist(),
+                lx.tolist(),
+                hx.tolist(),
             )
         )
         self._depth = np.zeros(len(self._x), dtype=np.int64)
@@ -248,23 +255,19 @@ class CornerDepths:
 
     def _shift(self, v: int, delta: int) -> None:
         """Add ``delta`` to the depth of every corner box ``v`` covers."""
-        y0, y1, x0, x1, lx, ly, hx, hy = self._slices[v]
-        if y1 - y0 <= x1 - x0:
-            x = self._x[y0:y1]
-            self._depth[y0:y1] += delta * ((lx <= x) & (x < hx))
-        else:
-            at = self._by_x[x0:x1]
-            y = self._y[at]
-            self._depth[at[(ly < y) & (y <= hy)]] += delta
+        y0, y1, lx, hx = self._slices[v]
+        x = self._x[y0:y1]
+        self._depth[y0:y1] += delta * ((lx <= x) & (x < hx))
 
     def remove(self, vertices) -> None:
         """Delete the given live boxes.
 
         Raises:
-            ValueError: if one of them is not live.
+            ValueError: if one of them is not a live rectangle.
         """
         for v in vertices:
-            if not self._live[v]:
+            # a negative id would index from the end
+            if not (0 <= v < len(self._live) and self._live[v]):
                 raise ValueError(f"rectangle {v} is not live")
             self._live[v] = False
             self._shift(v, -1)
@@ -274,8 +277,7 @@ class CornerDepths:
 
         The first deepest corner is the top-left corner of the sweep's cell;
         the next live x to its right and the next live y below it close the
-        cell, and ``_inside`` places the stab point in it as the sweep does.
-        Members index ``rects`` and ascend.
+        cell. Members index ``rects``.
 
         Raises:
             ValueError: if no rectangle is live.
@@ -285,21 +287,11 @@ class CornerDepths:
         if not len(ids):
             raise ValueError("no rectangle is live")
         c = int(self._depth.argmax())  # the first maximum
-        depth = int(self._depth[c])
         left, top = float(self._x[c]), float(self._y[c])
-        lx, ly, hx, hy = (a[ids] for a in self._bounds)
+        bounds = lx, ly, hx, hy = tuple(a[ids] for a in self._bounds)
         xs, ys = np.concatenate((lx, hx)), np.concatenate((ly, hy))
-        stab = Point(
-            _inside(left, float(xs[xs > left].min()), lx),
-            _inside(float(ys[ys < top].max()), top, ly),
-        )
-        inside = (lx < stab.x) & (stab.x < hx) & (ly < stab.y) & (stab.y < hy)
-        members = tuple(ids[inside].tolist())
-        if len(members) != depth:
-            raise UnstabbableOverlapError(
-                f"corner depth {depth} disagrees with {len(members)} members at {stab}"
-            )
-        return CliqueWitness(members, stab)
+        cell = (left, float(xs[xs > left].min()), float(ys[ys < top].max()), top)
+        return _witness(ids, bounds, int(self._depth[c]), cell)
 
 
 def find_simplicial(g: IntersectionGraph, stats: SimplicialSearchStats | None = None) -> int | None:

@@ -155,6 +155,8 @@ class IntersectionGraph:
         """Induced subgraph view with the given vertices masked out."""
         mask = 0
         for v in vertices:
+            if v < 0:
+                raise ValueError(f"cannot remove vertices not in the graph: [{v}]")
             mask |= 1 << v
         if mask & ~self._alive:
             dead = bit_indices(mask & ~self._alive)

@@ -143,7 +143,7 @@ def test_corner_state_follows_sweeps_through_deletions():
         check_corner_state_follows_sweeps(equal_squares(60, 3400 + seed), rng)
         check_corner_state_follows_sweeps(nested_clusters(60, 3, 3500 + seed), rng)
         check_corner_state_follows_sweeps(snapped_boxes(rng, 40, 5), rng)
-    # each bar's x-slice or y-slice is about k corners of about k * k
+    # a vertical bar's y-slice holds nearly all of the about k * k corners
     check_corner_state_follows_sweeps(crossing_bars(10), random.Random(0))
 
 
@@ -168,6 +168,34 @@ def test_corner_state_rejects_dead_and_empty():
         state.remove([1])
     with pytest.raises(ValueError, match="no rectangle is live"):
         state.max_clique()
+
+
+@pytest.mark.parametrize("v", [-1, -3, 2, 7])
+def test_corner_state_rejects_ids_outside_rects(v):
+    # a negative id must not wrap around to the last boxes
+    rects = [mk(0, 0, 1, 1), mk(2, 0, 3, 1)]
+    with pytest.raises(ValueError, match=rf"rectangle {v} is not in range\(2\)"):
+        CornerDepths(rects, [0, v])
+    state = CornerDepths(rects)
+    with pytest.raises(ValueError, match=f"rectangle {v} is not live"):
+        state.remove([v])
+    assert state.max_clique() == CliqueWitness((0,), Point(0.5, 0.5))
+    state.remove([1, 0])
+
+
+def test_corner_state_lists_each_snapped_corner_once():
+    # on a small grid many pairs share a corner point, which the state lists
+    # once, and the depths stay right through deletions
+    for seed in range(8):
+        rng = random.Random(4400 + seed)
+        rects = snapped_boxes(rng, 30, 4)
+        state = CornerDepths(rects)
+        points = list(zip(state._x.tolist(), state._y.tolist()))
+        assert len(set(points)) == len(points) < sum(
+            a.lo.x >= b.lo.x and a.lo.x < b.hi.x and a.lo.y < b.hi.y <= a.hi.y for a in rects for b in rects
+        )
+        assert points == sorted(points, key=lambda p: (-p[1], p[0]))
+        check_corner_state_follows_sweeps(rects, rng)
 
 
 # ------------------------------------------------------- simplicial search

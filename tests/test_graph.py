@@ -85,6 +85,14 @@ def test_remove_dead_vertex_rejected():
         h.degree(0)
 
 
+@pytest.mark.parametrize("v", [5, 2, -1])
+def test_remove_vertex_outside_the_graph_rejected(v):
+    # a negative id is out of the graph too, not a bad shift count
+    g = build_graph([mk(0, 0, 1, 1), mk(0.5, 0, 1.5, 1)])
+    with pytest.raises(ValueError, match=rf"^cannot remove vertices not in the graph: \[{v}\]$"):
+        g.remove_vertices([v])
+
+
 def test_max_degree_vertex_tie_breaks_low():
     # two rectangles of equal degree 1: the lower id wins
     g = build_graph([mk(0, 0, 2, 1), mk(1, 0, 3, 1), mk(10, 0, 12, 1), mk(11, 0, 13, 1)])

@@ -2,9 +2,11 @@
 
 ``perfbench/tracer.py`` patches functions and methods by name, and reports
 a name it cannot find as absent instead of failing. This loads it by path
-and checks that nothing is absent, that a traced ``gcc`` solve reaches the
-sweep and segment-tree hooks, so a renamed hook fails here too, and that a
-traced ``mis_greedy`` solve counts one simplicial hit per member it takes.
+and checks that nothing is absent, that a traced ``gcc`` solve of each
+benchmark family (built by ``perfbench/workloads.py``, also loaded by path)
+reaches the sweep and segment-tree hooks, so a renamed hook or a ``gcc``
+that stops sweeping on some family fails here too, and that a traced
+``mis_greedy`` solve counts one simplicial hit per member it takes.
 """
 
 import importlib.util
@@ -18,12 +20,11 @@ from rectcover.geometry import generate_instance
 
 from conftest import inst_of
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules while being built
     sys.modules[spec.name] = module
@@ -34,15 +35,29 @@ def tracer_module():
         del sys.modules[spec.name]
 
 
+@pytest.fixture(scope="module")
+def tracer_module():
+    yield from _load("perfbench_tracer", PERFBENCH / "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def workloads_module():
+    yield from _load("perfbench_workloads", PERFBENCH / "workloads.py")
+
+
 def test_every_hook_resolves(tracer_module):
     assert tracer_module.Tracer().absent == []
 
 
-def test_traced_gcc_counts_sweep_and_segment_tree(tracer_module):
+@pytest.mark.parametrize("workload", ["uniform", "squares", "clustered"])
+def test_traced_gcc_counts_sweep_and_segment_tree(tracer_module, workloads_module, workload):
+    # instance 0 of seed 1002, as the benchmark's set-up builds it; on
+    # squares, gcc solves the smaller square instance
+    (case,) = [c for c in workloads_module.WORKLOADS[workload].cases(1002, 0) if "gcc" in c.algorithms]
     tracer = tracer_module.Tracer()
     original = heuristics.max_clique_sweep
     with tracer.installed(0) as counts:
-        heuristics.gcc(generate_instance(60, seed=7))
+        heuristics.gcc(case.instance)
     assert heuristics.max_clique_sweep is original
     for key in ("cliques.max_clique_sweep.calls", "segtree.cells", "segtree.add_calls"):
         assert counts[key] > 0, key
