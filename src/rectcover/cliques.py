@@ -260,15 +260,22 @@ class CornerDepths:
         self._depth[y0:y1] += delta * ((lx <= x) & (x < hx))
 
     def remove(self, vertices) -> None:
-        """Delete the given live boxes.
+        """Delete the given live boxes, all of them or, on an error, none.
 
         Raises:
-            ValueError: if one of them is not a live rectangle.
+            ValueError: if one of them is not a live rectangle or is given
+                twice. The state is then as it was before the call.
         """
+        vertices = list(vertices)
+        seen = set()
         for v in vertices:
             # a negative id would index from the end
             if not (0 <= v < len(self._live) and self._live[v]):
                 raise ValueError(f"rectangle {v} is not live")
+            if v in seen:
+                raise ValueError(f"rectangle {v} is given twice")
+            seen.add(v)
+        for v in vertices:
             self._live[v] = False
             self._shift(v, -1)
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from rectcover import heuristics
@@ -183,6 +184,22 @@ def test_corner_state_rejects_ids_outside_rects(v):
     state.remove([1, 0])
 
 
+@pytest.mark.parametrize("vertices", [[0, 0], [2, 1, 1], [0, 5], [1, 3], [1, -1], [0, 2, 4, 4]])
+def test_corner_state_rejected_remove_changes_nothing(vertices):
+    # each list is rejected at a later id, after earlier ones that are live
+    rects = [mk(0, 0, 2, 2), mk(1, 1, 3, 3), mk(1, 0, 4, 2), mk(5, 5, 6, 6), mk(0, 1, 3, 2)]
+    state = CornerDepths(rects)
+    state.remove([3])
+    before, depths = state.max_clique(), state._depth.copy()
+    with pytest.raises(ValueError, match="is not live|is given twice"):
+        state.remove(vertices)
+    assert state.max_clique() == before
+    assert np.array_equal(state._depth, depths)
+    state.remove([0, 1, 2, 4])
+    with pytest.raises(ValueError, match="no rectangle is live"):
+        state.max_clique()
+
+
 def test_corner_state_lists_each_snapped_corner_once():
     # on a small grid many pairs share a corner point, which the state lists
     # once, and the depths stay right through deletions
@@ -353,22 +370,22 @@ def test_bounded_sweeps_match_full_sweeps_in_peels(family, algo, monkeypatch):
 # Sweeps made, MaxAddSegmentTree.add calls and the round that builds the
 # corner state (None if no round does) in whole peels. The sweep reads
 # depths only after a batch with a top edge and stops at the first cell as
-# deep as its bound; the full sweeps the peels made before, with the same
-# number of sweeps, called add 3234, 600, 600, 4436, 2474, 2474, 312, 308
-# and 308 times, in this table's order. Before the corner state took over
-# the later stuck rounds, the gcc peels swept in every round: 45 sweeps and
-# 1900 adds on uniform, 34 and 3367 on squares. Every gcc round is stuck,
-# so there the state is built in the round after the last sweep.
+# deep as its bound. Every gcc round is stuck, so there the state is built
+# in the round after the last sweep; the peels of gcc_i and mis_i build it
+# in a later stuck round, or never.
 SWEEP_WORK = {
-    ("uniform", gcc): (9, 1222, 9),
-    ("uniform", gcc_i): (7, 569, None),
-    ("uniform", mis_i): (7, 569, None),
-    ("squares", gcc): (19, 3150, 19),
-    ("squares", gcc_i): (11, 1864, None),
-    ("squares", mis_i): (11, 1864, None),
-    ("bars", gcc): (12, 125, None),
-    ("bars", gcc_i): (11, 123, None),
-    ("bars", mis_i): (11, 123, None),
+    ("uniform", gcc): (2, 414, 2),
+    ("uniform", gcc_i): (2, 342, 18),
+    ("uniform", mis_i): (2, 342, 18),
+    ("squares", gcc): (3, 910, 3),
+    ("squares", gcc_i): (3, 850, 6),
+    ("squares", mis_i): (3, 850, 6),
+    ("bars", gcc): (2, 60, 2),
+    ("bars", gcc_i): (2, 60, 2),
+    ("bars", mis_i): (2, 60, 2),
+    ("clusters", gcc): (3, 612, 3),
+    ("clusters", gcc_i): (1, 50, None),
+    ("clusters", mis_i): (1, 50, None),
 }
 
 

@@ -5,8 +5,9 @@ a name it cannot find as absent instead of failing. This loads it by path
 and checks that nothing is absent, that a traced ``gcc`` solve of each
 benchmark family (built by ``perfbench/workloads.py``, also loaded by path)
 reaches the sweep and segment-tree hooks, so a renamed hook or a ``gcc``
-that stops sweeping on some family fails here too, and that a traced
-``mis_greedy`` solve counts one simplicial hit per member it takes.
+that stops sweeping on some family fails here too, that a traced
+``mis_greedy`` solve counts one simplicial hit per member it takes, and
+which benchmark solves switch to the corner-depth state.
 """
 
 import importlib.util
@@ -72,3 +73,26 @@ def test_traced_mis_counts_one_hit_per_member(tracer_module, layout, chain3):
         result = heuristics.mis_greedy(instance)
     assert counts["cliques.find_simplicial.hits"] == result.size
     assert counts["cliques.find_simplicial.entry_accesses"] > 0
+
+
+# The clique solves of instance 0 of seed 1002 that build the corner state.
+# Its price is set so that uniform solves switch to it; the 800-square
+# gcc-i/mis-i and the clustered solves must keep sweeping every stuck round.
+CORNER_BUILDS = {"uniform": {"gcc", "gcc-i", "mis-i"}, "squares": {"gcc"}, "clustered": set()}
+
+
+@pytest.mark.parametrize("workload", list(CORNER_BUILDS))
+def test_benchmark_solves_that_build_the_corner_state(workloads_module, workload, monkeypatch):
+    solvers = {"gcc": heuristics.gcc, "gcc-i": heuristics.gcc_i, "mis-i": heuristics.mis_i}
+    build = heuristics.CornerDepths
+    built = set()
+    for case in workloads_module.WORKLOADS[workload].cases(1002, 0):
+        for name in solvers.keys() & set(case.algorithms):
+
+            def recorded(*args, name=name):
+                built.add(name)
+                return build(*args)
+
+            monkeypatch.setattr(heuristics, "CornerDepths", recorded)
+            solvers[name](case.instance)
+    assert built == CORNER_BUILDS[workload]
