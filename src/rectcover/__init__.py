@@ -17,12 +17,7 @@ from .bench import (
     trial_seed,
     verify_random,
 )
-from .cliques import (
-    CliqueWitness,
-    SimplicialSearchStats,
-    find_simplicial,
-    max_clique_sweep,
-)
+from .cliques import CliqueWitness, max_clique_sweep
 from .geometry import (
     UNIT_SQUARE,
     DegenerateRectangleError,
@@ -38,7 +33,7 @@ from .geometry import (
     interiors_intersect,
     make_rectangle,
 )
-from .graph import IntersectionGraph, build_graph
+from .graph import IntersectionGraph, SimplicialSearchStats, build_graph, find_simplicial
 from .heuristics import CoverResult, IndependentSetResult, gcc, gcc_i, mis_greedy, mis_i
 from .instance_io import (
     InstanceFormatError,

@@ -14,9 +14,9 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .cliques import CornerDepths, find_simplicial, max_clique_sweep
+from .cliques import CornerDepths, max_clique_sweep
 from .geometry import Instance, generate_instance
-from .graph import build_graph
+from .graph import build_graph, find_simplicial
 from .heuristics import CoverResult, IndependentSetResult, gcc, gcc_i, mis_greedy, mis_i
 from .oracles import (
     DEFAULT_MCC_CAP,

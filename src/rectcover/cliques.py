@@ -1,4 +1,4 @@
-"""Core engine: maximum cliques by sweep or corner depths, and the simplicial search.
+"""Core engine: maximum cliques by sweep or corner depths.
 
 Both clique engines exploit the Helly property of axis-parallel boxes: a set
 of rectangles is a clique of the intersection graph exactly when all of them
@@ -6,8 +6,7 @@ share a common interior point, so a maximum clique is a deepest point of the
 overlap arrangement and every clique can be stabbed by one point. The sweep
 starts from scratch each call; ``CornerDepths`` keeps the depths of the
 candidate corners across the deletions of a peel. The simplicial search
-needs only the graph; a cover that takes a simplicial neighborhood places
-its stab point itself.
+needs only the graph and lives with it in ``graph``.
 """
 
 from __future__ import annotations
@@ -18,15 +17,12 @@ from itertools import repeat
 import numpy as np
 
 from .geometry import Point, UnstabbableOverlapError, _bounds_arrays, _small_ufunc_buffer
-from .graph import IntersectionGraph
 from .segtree import MaxAddSegmentTree
 
 __all__ = [
     "CliqueWitness",
     "CornerDepths",
-    "SimplicialSearchStats",
     "max_clique_sweep",
-    "find_simplicial",
 ]
 
 
@@ -40,17 +36,6 @@ class CliqueWitness:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-@dataclass
-class SimplicialSearchStats:
-    """Diagnostics from simplicial searches.
-
-    ``entry_accesses`` counts adjacency-matrix entry touches: one live row
-    for each adjacency row read by each clique test actually made.
-    """
-
-    entry_accesses: int = 0
 
 
 def max_clique_sweep(rects, *, bound: int | None = None) -> CliqueWitness:
@@ -299,31 +284,3 @@ class CornerDepths:
         xs, ys = np.concatenate((lx, hx)), np.concatenate((ly, hy))
         cell = (left, float(xs[xs > left].min()), float(ys[ys < top].max()), top)
         return _witness(ids, bounds, int(self._depth[c]), cell)
-
-
-def find_simplicial(g: IntersectionGraph, stats: SimplicialSearchStats | None = None) -> int | None:
-    """The simplicial live vertex of least (degree, id), or None if none is.
-
-    A vertex is simplicial when its closed neighborhood is a clique.
-    Vertices are visited in increasing order of current degree (ties to the
-    lowest id) by walking ``g.degree_classes()`` in order, each class in id
-    order, and the first simplicial one is returned. Clique tests go through
-    ``g.closed_clique_test``, which remembers failures across searches and
-    deletions: known non-cliques are masked out of each class, and only the
-    other vertices are tested. A found vertex is not remembered, since it is
-    deleted with its neighborhood in the round that finds it. Vertex 0 is a
-    valid answer, so test the result with ``is not None``.
-    """
-    unknown = ~g.known_non_cliques
-    for cls in g.degree_classes():
-        rest = cls & unknown
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            clique, read = g.closed_clique_test(v)
-            if stats is not None:
-                stats.entry_accesses += g.n * read
-            if clique:
-                return v
-    return None

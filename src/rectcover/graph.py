@@ -1,4 +1,4 @@
-"""Intersection graph of rectangles with bitset adjacency.
+"""Intersection graph of rectangles with bitset adjacency, and the simplicial search.
 
 Adjacency rows are Python integers used as bitsets: bit ``j`` of row ``i``
 says rectangles ``i`` and ``j`` have open interiors that intersect. The
@@ -12,7 +12,9 @@ is unchanged, so it keeps the known non-cliques that lost no neighbor. A
 found clique needs no memory: its vertex lies in its own closed
 neighborhood, which the heuristics delete in the round that finds it. Vertex
 ids always refer to the originally built graph, so a rectangle keeps its id
-across deletions.
+across deletions. The memory is private to this module: only
+``find_simplicial`` reads it and adds to it, and only ``remove_vertices``
+forgets from it.
 
 The graph is built by one quadratic pairwise test, vectorized with numpy
 under a small ufunc buffer (see ``geometry._small_ufunc_buffer``). On the
@@ -24,11 +26,14 @@ over candidate pairs; the sweep wins only on nearly edge-free inputs.
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass
+
 import numpy as np
 
 from .geometry import _bounds_arrays, _check_rectangles, _check_stabbable, _small_ufunc_buffer
 
-__all__ = ["IntersectionGraph", "build_graph", "bit_indices"]
+__all__ = ["IntersectionGraph", "SimplicialSearchStats", "build_graph", "bit_indices", "find_simplicial"]
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -46,10 +51,10 @@ class IntersectionGraph:
 
     Views are made by ``build_graph`` and ``remove_vertices``. A view's
     adjacency rows, live set and degree classes are fixed once it is made;
-    only its set of known non-cliques changes, and it only grows, when
-    ``closed_clique_test`` finds another one. Entry ``d`` of
+    only its private set of known non-cliques changes, and it only grows,
+    when ``find_simplicial`` finds another one. Entry ``d`` of
     ``degree_classes()`` is the bitset of live vertices with ``d`` live
-    neighbors.
+    neighbors. Vertex ids may be any integer type, numpy's included.
     """
 
     __slots__ = ("_rows", "_classes", "_alive", "_non_cliques")
@@ -87,28 +92,30 @@ class IntersectionGraph:
         return bit_indices(self._alive)
 
     def is_live(self, v: int) -> bool:
+        v = operator.index(v)
         return 0 <= v < len(self._rows) and (self._alive >> v) & 1 == 1
 
-    def _check_live(self, v: int) -> None:
+    def _check_live(self, v: int) -> int:
+        """``v`` as a Python int; a ValueError unless it is a live vertex."""
         if not self.is_live(v):
             raise ValueError(f"vertex {v} is not a live vertex of this graph")
+        return operator.index(v)
 
     def adjacent(self, u: int, v: int) -> bool:
-        self._check_live(u)
-        self._check_live(v)
+        u, v = self._check_live(u), self._check_live(v)
         return (self._rows[u] >> v) & 1 == 1
 
     def degree(self, v: int) -> int:
-        self._check_live(v)
+        v = self._check_live(v)
         return (self._rows[v] & self._alive).bit_count()
 
     def closed_neighborhood(self, v: int) -> set[int]:
         """The vertex itself together with all its live neighbors."""
-        self._check_live(v)
         return set(bit_indices(self.neighborhood_mask(v)))
 
     def neighborhood_mask(self, v: int) -> int:
-        """Bitset of the closed neighborhood of ``v``."""
+        """Bitset of the closed neighborhood of the live vertex ``v``."""
+        v = self._check_live(v)
         return (self._rows[v] & self._alive) | (1 << v)
 
     def max_degree_vertex(self) -> int | None:
@@ -123,12 +130,7 @@ class IntersectionGraph:
 
     # -- remembered clique tests ---------------------------------------
 
-    @property
-    def known_non_cliques(self) -> int:
-        """Bitset of live vertices known not to have a clique closed neighborhood."""
-        return self._non_cliques
-
-    def closed_clique_test(self, v: int) -> tuple[bool, int]:
+    def _closed_clique_test(self, v: int) -> tuple[bool, int]:
         """Whether ``v``'s closed neighborhood is a clique, and the rows read.
 
         The rows of ``v`` and of its live neighbors are read in id order, up
@@ -155,6 +157,7 @@ class IntersectionGraph:
         """Induced subgraph view with the given vertices masked out."""
         mask = 0
         for v in vertices:
+            v = operator.index(v)
             if v < 0:
                 raise ValueError(f"cannot remove vertices not in the graph: [{v}]")
             mask |= 1 << v
@@ -187,6 +190,49 @@ class IntersectionGraph:
 
     def __repr__(self) -> str:
         return f"IntersectionGraph(n={self.n}, edges={self.edge_count()})"
+
+
+# -- simplicial search ------------------------------------------------
+
+
+@dataclass
+class SimplicialSearchStats:
+    """Diagnostics from simplicial searches.
+
+    ``entry_accesses`` counts adjacency-matrix entry touches: one live row
+    for each adjacency row read by each clique test actually made.
+    """
+
+    entry_accesses: int = 0
+
+
+def find_simplicial(g: IntersectionGraph, stats: SimplicialSearchStats | None = None) -> int | None:
+    """The simplicial live vertex of least (degree, id), or None if none is.
+
+    A vertex is simplicial when its closed neighborhood is a clique.
+    Vertices are visited in increasing order of current degree (ties to the
+    lowest id) by walking ``g.degree_classes()`` in order, each class in id
+    order, and the first simplicial one is returned. A failed clique test is
+    remembered in ``g`` and in the views ``remove_vertices`` makes from it,
+    until the vertex loses a neighbor: known non-cliques are masked out of
+    each class, and only the other vertices are tested. A found vertex is
+    not remembered, since it is deleted with its neighborhood in the round
+    that finds it. Vertex 0 is a valid answer, so test the result with
+    ``is not None``.
+    """
+    unknown = ~g._non_cliques
+    for cls in g.degree_classes():
+        rest = cls & unknown
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            clique, read = g._closed_clique_test(v)
+            if stats is not None:
+                stats.entry_accesses += g.n * read
+            if clique:
+                return v
+    return None
 
 
 # -- builders ----------------------------------------------------------

@@ -20,9 +20,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .cliques import CornerDepths, find_simplicial, max_clique_sweep
+from .cliques import CornerDepths, max_clique_sweep
 from .geometry import Instance, Point, UnstabbableOverlapError, common_intersection, filter_dominated
-from .graph import bit_indices, build_graph
+from .graph import bit_indices, build_graph, find_simplicial
 
 __all__ = ["CoverResult", "IndependentSetResult", "gcc", "gcc_i", "mis_greedy", "mis_i"]
 
@@ -34,7 +34,8 @@ class CoverResult:
     ``assignment[i]`` is the index into ``points`` of the point stabbing
     rectangle ``i`` of the instance. ``theta_count`` counts points placed
     for simplicial neighborhoods, ``phi_count`` points placed for extracted
-    maximum cliques; they sum to ``len(points)``. ``elapsed`` is wall-clock
+    maximum cliques; they sum to ``len(points)``, which is also
+    ``iterations``, the number of peel rounds. ``elapsed`` is wall-clock
     seconds and excluded from equality.
     """
 
@@ -42,12 +43,13 @@ class CoverResult:
     assignment: tuple[int, ...]
     theta_count: int
     phi_count: int
-    iterations: int
     elapsed: float = field(compare=False, default=0.0)
 
     @property
     def size(self) -> int:
         return len(self.points)
+
+    iterations = size
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,6 @@ def _cover(instance: Instance, simplicial: bool) -> CoverResult:
         assignment=tuple(assignment),
         theta_count=theta,
         phi_count=len(rounds) - theta,
-        iterations=len(rounds),
         elapsed=time.perf_counter() - t0,
     )
 

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from rectcover.cliques import CliqueWitness, CornerDepths, find_simplicial, max_clique_sweep
+from rectcover.cliques import CliqueWitness, CornerDepths, max_clique_sweep
 from rectcover.geometry import Instance, Point, Rectangle, Region, UnstabbableOverlapError, contains
-from rectcover.graph import bit_indices, build_graph
+from rectcover.graph import bit_indices, build_graph, find_simplicial
 from rectcover.oracles import simplicial_scan
 
 
@@ -116,7 +116,7 @@ def check_remembered_search(rects, seed):
             assert v == least, deleted
         else:
             assert v is None, deleted
-        assert scan.isdisjoint(bit_indices(g.known_non_cliques)), deleted
+        assert scan.isdisjoint(bit_indices(g._non_cliques)), deleted
         if v is not None and rng.random() < 0.5:
             batch = bit_indices(g.neighborhood_mask(v))
         else:

@@ -14,9 +14,9 @@ import time
 import pytest
 
 from rectcover.bench import run_bench, trial_seed
-from rectcover.cliques import find_simplicial, max_clique_sweep
+from rectcover.cliques import max_clique_sweep
 from rectcover.geometry import filter_dominated, generate_instance
-from rectcover.graph import build_graph
+from rectcover.graph import build_graph, find_simplicial
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import (
     exact_mcc,

@@ -5,15 +5,9 @@ import numpy as np
 import pytest
 
 from rectcover import heuristics
-from rectcover.cliques import (
-    CliqueWitness,
-    CornerDepths,
-    SimplicialSearchStats,
-    find_simplicial,
-    max_clique_sweep,
-)
+from rectcover.cliques import CliqueWitness, CornerDepths, max_clique_sweep
 from rectcover.geometry import Point, filter_dominated, generate_instance
-from rectcover.graph import IntersectionGraph, bit_indices, build_graph
+from rectcover.graph import IntersectionGraph, SimplicialSearchStats, bit_indices, build_graph, find_simplicial
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import max_clique_candidates, simplicial_scan
 from rectcover.segtree import MaxAddSegmentTree
@@ -215,7 +209,7 @@ def test_corner_state_lists_each_snapped_corner_once():
         check_corner_state_follows_sweeps(rects, rng)
 
 
-# ------------------------------------------------------- simplicial search
+# ------------------------------------ simplicial search (graph.find_simplicial)
 
 
 def test_simplicial_triangle(triangle):

@@ -83,6 +83,10 @@ def test_remove_dead_vertex_rejected():
         h.remove_vertices([0])
     with pytest.raises(ValueError):
         h.degree(0)
+    # every query rejects a dead or outside id, and none shifts by a negative count
+    for v in (0, 2, -1):
+        with pytest.raises(ValueError, match="is not a live vertex"):
+            h.neighborhood_mask(v)
 
 
 @pytest.mark.parametrize("v", [5, 2, -1])
@@ -91,6 +95,28 @@ def test_remove_vertex_outside_the_graph_rejected(v):
     g = build_graph([mk(0, 0, 1, 1), mk(0.5, 0, 1.5, 1)])
     with pytest.raises(ValueError, match=rf"^cannot remove vertices not in the graph: \[{v}\]$"):
         g.remove_vertices([v])
+
+
+def test_numpy_ids_act_as_python_ints():
+    # numpy ids once overflowed a shift past bit 63 and below it left numpy
+    # ints in the masks
+    g = build_graph(generate_instance(100, seed=1).rects)
+    ids = np.flatnonzero(np.arange(g.n) % 3 == 0)
+    assert ids.max() >= 64
+    for v in ids:
+        assert g.is_live(v) and g.degree(v) == g.degree(int(v))
+        assert g.adjacent(v, ids[1]) == g.adjacent(int(v), int(ids[1]))
+        assert g.closed_neighborhood(v) == g.closed_neighborhood(int(v))
+        mask = g.neighborhood_mask(v)
+        assert type(mask) is int and mask == g.neighborhood_mask(int(v))
+    h = g.remove_vertices(ids)
+    assert h == g.remove_vertices(ids.tolist())
+    assert _state(h) == _state(g.remove_vertices(ids.tolist()))
+    assert all(type(cls) is int for cls in h.degree_classes())
+    assert type(h.alive_mask) is int
+    for query in (g.is_live, g.degree, g.neighborhood_mask, lambda v: g.remove_vertices([v])):
+        with pytest.raises(TypeError):
+            query(1.0)
 
 
 def test_max_degree_vertex_tie_breaks_low():
@@ -213,6 +239,8 @@ def test_remove_repeated_vertex_counts_it_once(triangle):
     assert h.edge_count() == 1
 
 
+# The clique test and the memory of its failures are private to the graph
+# module; these two tests reach into them to pin what find_simplicial relies on.
 @pytest.mark.parametrize(
     "layout, expected",
     [
@@ -226,28 +254,28 @@ def test_closed_clique_test_answers_and_rows_read(layout, expected, request):
     g = build_graph(request.getfixturevalue(layout))
     failed = 0
     for v, answer in enumerate(expected):
-        assert g.closed_clique_test(v) == answer, v
+        assert g._closed_clique_test(v) == answer, v
         if not answer[0]:
             failed |= 1 << v
         # only failures are remembered
-        assert g.known_non_cliques == failed, v
+        assert g._non_cliques == failed, v
     # no answer is returned from memory: a second test reads the rows again
-    assert [g.closed_clique_test(v) for v in g.vertices()] == expected
-    assert g.known_non_cliques == failed
+    assert [g._closed_clique_test(v) for v in g.vertices()] == expected
+    assert g._non_cliques == failed
 
 
 def test_failed_clique_test_kept_until_a_neighbor_goes(frame4):
     g = build_graph(frame4)
-    assert not g.closed_clique_test(0)[0]
-    assert not g.closed_clique_test(2)[0]
+    assert not g._closed_clique_test(0)[0]
+    assert not g._closed_clique_test(2)[0]
     # bottom (1) touches left (2) and right (3) but not top (0)
     h = g.remove_vertices([1])
-    assert h.known_non_cliques == 0b0001
+    assert h._non_cliques == 0b0001
     # left was top's neighbor: top forgets, and is now simplicial
     k = h.remove_vertices([2])
-    assert k.known_non_cliques == 0
-    assert k.closed_clique_test(0) == (True, 2)
-    assert k.known_non_cliques == 0
+    assert k._non_cliques == 0
+    assert k._closed_clique_test(0) == (True, 2)
+    assert k._non_cliques == 0
 
 
 def test_degree_sum_is_twice_edges():

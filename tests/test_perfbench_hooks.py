@@ -5,9 +5,10 @@ a name it cannot find as absent instead of failing. This loads it by path
 and checks that nothing is absent, that a traced ``gcc`` solve of each
 benchmark family (built by ``perfbench/workloads.py``, also loaded by path)
 reaches the sweep and segment-tree hooks, so a renamed hook or a ``gcc``
-that stops sweeping on some family fails here too, that a traced
-``mis_greedy`` solve counts one simplicial hit per member it takes, and
-which benchmark solves switch to the corner-depth state.
+that stops sweeping on some family fails here too, that traced
+``gcc_i`` and ``mis_greedy`` solves of each family count the simplicial
+search's hits and work, and which benchmark solves switch to the
+corner-depth state.
 """
 
 import importlib.util
@@ -73,6 +74,24 @@ def test_traced_mis_counts_one_hit_per_member(tracer_module, layout, chain3):
         result = heuristics.mis_greedy(instance)
     assert counts["cliques.find_simplicial.hits"] == result.size
     assert counts["cliques.find_simplicial.entry_accesses"] > 0
+
+
+@pytest.mark.parametrize("workload", ["uniform", "squares", "clustered"])
+def test_traced_searches_count_hits_and_work(tracer_module, workloads_module, workload):
+    # the tracer counts entry_accesses only if SimplicialSearchStats lives in
+    # find_simplicial's own module; a hit is a simplicial neighborhood stabbed
+    # by gcc-i and a member taken by mis
+    solvers = {"gcc-i": (heuristics.gcc_i, "theta_count"), "mis": (heuristics.mis_greedy, "size")}
+    solved = set()
+    for case in workloads_module.WORKLOADS[workload].cases(1002, 0):
+        for name in solvers.keys() & set(case.algorithms):
+            solve, hits = solvers[name]
+            with tracer_module.Tracer().installed(0) as counts:
+                result = solve(case.instance)
+            assert counts["cliques.find_simplicial.entry_accesses"] > 0, name
+            assert counts["cliques.find_simplicial.hits"] == getattr(result, hits), name
+            solved.add(name)
+    assert solved == solvers.keys()
 
 
 # The clique solves of instance 0 of seed 1002 that build the corner state.
