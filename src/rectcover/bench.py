@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .cliques import CornerDepths, max_clique_sweep
-from .geometry import Instance, generate_instance
+from .geometry import Instance, UnstabbableOverlapError, generate_instance
 from .graph import build_graph, find_simplicial
 from .heuristics import CoverResult, IndependentSetResult, gcc, gcc_i, mis_greedy, mis_i
 from .oracles import (
@@ -229,8 +229,9 @@ def verify_random(
     """Cross-check heuristics and sweeps against the exact oracles.
 
     Runs ``count`` random instances of size ``n`` and checks, per instance:
-    the sweep's maximum clique and the first one of a ``CornerDepths``
-    state over all rectangles equal the enumeration oracle's witness; the
+    the sweep's and a ``CornerDepths`` state's maximum cliques equal the
+    enumeration oracle's witness on every residual of a peel by the
+    oracle's cliques, with members as positions in the live list; the
     simplicial search returns the member of least (degree, id) of the
     brute-force simplicial scan, or None when the scan is empty; every
     heuristic output is valid; and the size sandwich
@@ -248,12 +249,23 @@ def verify_random(
         instance = generate_instance(n, seed=seed)
         tag = f"[n={n} seed={seed}]"
 
-        sweep = max_clique_sweep(instance.rects) if instance.n else None
-        corners = CornerDepths(instance.rects).max_clique() if instance.n else None
-        cand = max_clique_candidates(instance.rects) if instance.n else None
-        wrong = [f"{name} max clique {w}" for name, w in (("sweep", sweep), ("corner", corners)) if w != cand]
-        if wrong:
-            violations.append(f"{tag} {' and '.join(wrong)} != oracle {cand}")
+        rects = list(instance.rects)
+        state = CornerDepths(rects) if rects else None
+        live = list(range(len(rects)))
+        while live:
+            sub = [rects[v] for v in live]
+            want = max_clique_candidates(sub)
+            got = {"sweep": max_clique_sweep(sub)}
+            try:
+                corner = state.max_clique(sum(1 << v for v in live))
+                got["corner"] = replace(corner, members=tuple(map(live.index, corner.members)))
+            except UnstabbableOverlapError as err:
+                got["corner"] = repr(err)
+            wrong = [f"{name} max clique {w}" for name, w in got.items() if w != want]
+            if wrong:
+                violations.append(f"{tag} {' and '.join(wrong)} != oracle {want} on the live boxes {live}")
+                break
+            live = [v for i, v in enumerate(live) if i not in want.members]
 
         graph = build_graph(instance.rects)
         scan = simplicial_scan(graph)

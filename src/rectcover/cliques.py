@@ -5,8 +5,8 @@ of rectangles is a clique of the intersection graph exactly when all of them
 share a common interior point, so a maximum clique is a deepest point of the
 overlap arrangement and every clique can be stabbed by one point. The sweep
 starts from scratch each call; ``CornerDepths`` keeps the depths of the
-candidate corners across the deletions of a peel. The simplicial search
-needs only the graph and lives with it in ``graph``.
+candidate corners across a peel's deletions, read off its live bitset. The
+simplicial search needs only the graph and lives with it in ``graph``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from itertools import repeat
 import numpy as np
 
 from .geometry import Point, UnstabbableOverlapError, _bounds_arrays, _small_ufunc_buffer
+from .graph import bit_indices
 from .segtree import MaxAddSegmentTree
 
 __all__ = [
@@ -193,8 +194,8 @@ class CornerDepths:
     cover the cell just right of and below it, that is whose ``lo.x <= x <
     hi.x`` and ``lo.y < y <= hi.y``. Only the corners in a box's y-slice of
     that order can be covered, so a box is kept as that slice and its
-    x-bounds, and ``remove`` lowers the corners of a deleted box's slice
-    that pass the x test.
+    x-bounds, and ``max_clique`` lowers the corners of the slice of each box
+    gone from the live bitset since the last query that pass the x test.
 
     Corners of dead boxes stay listed: a corner's cell lies in one cell of
     the live boxes' arrangement and is as deep. Every point of a live cell
@@ -209,34 +210,34 @@ class CornerDepths:
     one slice per box for the starting depths.
     """
 
-    def __init__(self, rects, live=None):
-        """State over ``rects``, of which the indices in ``live`` (default all) are live.
+    def __init__(self, rects, alive=None):
+        """State over ``rects`` whose live boxes are the set bits of ``alive`` (default all).
 
         Raises:
-            ValueError: if no rectangle is live, or an index is not one of ``rects``.
+            ValueError: as ``max_clique`` does, for a bit past ``rects`` too.
         """
         self._bounds = lx, ly, hx, hy = _bounds_arrays(list(rects))
-        self._live = np.zeros(len(lx), dtype=bool)
-        for v in range(len(lx)) if live is None else live:
-            if not 0 <= v < len(lx):
-                raise ValueError(f"rectangle {v} is not in range({len(lx)})")
-            self._live[v] = True
-        ids = np.flatnonzero(self._live)
-        if not len(ids):
-            raise ValueError("CornerDepths needs at least one live rectangle")
+        self._alive = (1 << len(lx)) - 1
+        ids = self._take(self._alive if alive is None else alive)
         self._x, self._y = _corner_points(tuple(a[ids] for a in self._bounds))
         # per box: its y-slice [y0, y1) of the corners and its x-bounds
-        self._slices = list(
-            zip(
-                np.searchsorted(-self._y, -hy).tolist(),
-                np.searchsorted(-self._y, -ly).tolist(),
-                lx.tolist(),
-                hx.tolist(),
-            )
-        )
+        y0, y1 = np.searchsorted(-self._y, -hy), np.searchsorted(-self._y, -ly)
+        self._slices = list(zip(y0.tolist(), y1.tolist(), lx.tolist(), hx.tolist()))
         self._depth = np.zeros(len(self._x), dtype=np.int64)
         for v in ids.tolist():
             self._shift(v, 1)
+
+    def _take(self, alive: int):
+        """Check ``alive`` as ``max_clique`` does, keep it and return its ids."""
+        if alive <= 0:
+            raise ValueError(f"live set {alive} is empty or negative")
+        extra = alive & ~self._alive
+        if extra:
+            raise ValueError(f"rectangle {(extra & -extra).bit_length() - 1} is not live")
+        self._alive = alive
+        n = len(self._bounds[0])
+        raw = np.frombuffer(alive.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(raw, count=n, bitorder="little"))
 
     def _shift(self, v: int, delta: int) -> None:
         """Add ``delta`` to the depth of every corner box ``v`` covers."""
@@ -244,40 +245,23 @@ class CornerDepths:
         x = self._x[y0:y1]
         self._depth[y0:y1] += delta * ((lx <= x) & (x < hx))
 
-    def remove(self, vertices) -> None:
-        """Delete the given live boxes, all of them or, on an error, none.
+    def max_clique(self, alive: int) -> CliqueWitness:
+        """The maximum clique of the live set ``alive``, as ``max_clique_sweep`` gives it.
+
+        ``alive`` is a bitset of box ids, and the boxes gone from it since
+        the last live set are deleted first. The first deepest corner is the
+        top-left corner of the sweep's cell; the next live x to its right
+        and the next live y below it close the cell. Members index ``rects``.
 
         Raises:
-            ValueError: if one of them is not a live rectangle or is given
-                twice. The state is then as it was before the call.
-        """
-        vertices = list(vertices)
-        seen = set()
-        for v in vertices:
-            # a negative id would index from the end
-            if not (0 <= v < len(self._live) and self._live[v]):
-                raise ValueError(f"rectangle {v} is not live")
-            if v in seen:
-                raise ValueError(f"rectangle {v} is given twice")
-            seen.add(v)
-        for v in vertices:
-            self._live[v] = False
-            self._shift(v, -1)
-
-    def max_clique(self) -> CliqueWitness:
-        """The live boxes' maximum clique, as ``max_clique_sweep`` gives it.
-
-        The first deepest corner is the top-left corner of the sweep's cell;
-        the next live x to its right and the next live y below it close the
-        cell. Members index ``rects``.
-
-        Raises:
-            ValueError: if no rectangle is live.
+            ValueError: if ``alive`` is empty, negative or has a box that was
+                not live, before any depth changes.
             UnstabbableOverlapError: where ``max_clique_sweep`` raises it.
         """
-        ids = np.flatnonzero(self._live)
-        if not len(ids):
-            raise ValueError("no rectangle is live")
+        gone = self._alive & ~alive
+        ids = self._take(alive)
+        for v in bit_indices(gone):
+            self._shift(v, -1)
         c = int(self._depth.argmax())  # the first maximum
         left, top = float(self._x[c]), float(self._y[c])
         bounds = lx, ly, hx, hy = tuple(a[ids] for a in self._bounds)

@@ -250,10 +250,14 @@ def _small_ufunc_buffer():
 
 def _bounds_arrays(rects):
     n = len(rects)
-    lx = np.fromiter((r.lo.x for r in rects), dtype=float, count=n)
-    ly = np.fromiter((r.lo.y for r in rects), dtype=float, count=n)
-    hx = np.fromiter((r.hi.x for r in rects), dtype=float, count=n)
-    hy = np.fromiter((r.hi.y for r in rects), dtype=float, count=n)
+    try:
+        lx = np.fromiter((r.lo.x for r in rects), dtype=float, count=n)
+        ly = np.fromiter((r.lo.y for r in rects), dtype=float, count=n)
+        hx = np.fromiter((r.hi.x for r in rects), dtype=float, count=n)
+        hy = np.fromiter((r.hi.y for r in rects), dtype=float, count=n)
+    except AttributeError:
+        _check_rectangles(rects)
+        raise
     return lx, ly, hx, hy
 
 

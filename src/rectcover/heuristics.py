@@ -73,9 +73,9 @@ class IndependentSetResult:
 # edge event: the build is worth 0.13, 0.5 and 0.05 of k + 2E edge events.
 # Sweeping until the sweeps have built this multiple of k + 2E edge events
 # buys the state only in peels with many stuck rounds, as rent-or-buy does;
-# the price sits a little above uniform's to pay for telling the state every
-# deletion too. A clustered gcc peel sweeps 0.06-0.07 of k + 2E in all, so
-# it never buys. Tests set it to 0 and inf.
+# the price sits a little above uniform's to pay for the deletions the state
+# takes at each later stuck round too. A clustered gcc peel sweeps 0.06-0.07
+# of k + 2E in all, so it never buys. Tests set it to 0 and inf.
 _CORNER_SWITCH = 0.2
 
 
@@ -92,8 +92,9 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
     A maximum clique comes from ``max_clique_sweep`` over the live
     rectangles. A sweep builds and sorts two edge events per rectangle;
     once the sweeps have built ``_CORNER_SWITCH * (k + 2E)`` of them, the
-    loop builds a ``CornerDepths`` state over the live rectangles, takes
-    every later clique from it and tells it every deletion. Both give the
+    loop builds a ``CornerDepths`` state over the live rectangles and takes
+    every later clique from it; the state reads the graph's live bitset and
+    takes the deletions since the last stuck round then. Both give the
     same witness, so the switch changes no round. ``_CORNER_SWITCH`` is
     0.2, the state's measured price: a build costs as much as 0.13 of k + 2E
     sweep events on uniform kept sets, 0.05 on clustered and 0.5 on 250
@@ -120,9 +121,9 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
             step = (None, (graph.max_degree_vertex(),), None)
         else:
             if corners is None and swept >= budget:
-                corners = CornerDepths(rects, graph.vertices())
+                corners = CornerDepths(rects, graph.alive_mask)
             if corners is not None:
-                witness = corners.max_clique()
+                witness = corners.max_clique(graph.alive_mask)
                 members = witness.members
             else:
                 vs = graph.vertices()
@@ -133,8 +134,6 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
             step = (None, members, witness.stab)
             last = len(members)
         rounds.append(step)
-        if corners is not None:
-            corners.remove(step[1])
         graph = graph.remove_vertices(step[1])
     return kept, removed, rounds
 

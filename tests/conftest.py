@@ -134,21 +134,21 @@ def _witness_or_error(fn, *args):
 
 
 def check_corner_state_follows_sweeps(rects, rng):
-    """Delete ``rects`` in batches of 1 to 3 drawn by ``rng``; before every
-    deletion the corner state's maximum clique must be the sweep's over the
-    live boxes, with the sweep's local indices mapped back to ``rects``,
-    and the state must raise ``UnstabbableOverlapError`` exactly where the
-    sweep does."""
+    """Delete ``rects`` in batches of 1 to 3 drawn by ``rng``, one to three
+    batches between queries; at every query the corner state's maximum
+    clique of the live bitset must be the sweep's over the live boxes, with
+    the sweep's local indices mapped back to ``rects``, and the state must
+    raise ``UnstabbableOverlapError`` exactly where the sweep does."""
     state = CornerDepths(rects)
     live = list(range(len(rects)))
     while live:
         sweep = _witness_or_error(max_clique_sweep, [rects[v] for v in live])
         if sweep is not UnstabbableOverlapError:
             sweep = CliqueWitness(tuple(live[i] for i in sweep.members), sweep.stab)
-        assert _witness_or_error(state.max_clique) == sweep, live
-        batch = rng.sample(live, min(len(live), rng.randint(1, 3)))
-        state.remove(batch)
-        live = [v for v in live if v not in batch]
+        assert _witness_or_error(state.max_clique, sum(1 << v for v in live)) == sweep, live
+        for _ in range(rng.randint(1, 3)):
+            batch = rng.sample(live, min(len(live), rng.randint(1, 3)))
+            live = [v for v in live if v not in batch]
 
 
 @pytest.fixture

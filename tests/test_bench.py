@@ -138,14 +138,30 @@ def test_verify_random_checks_the_corner_state(monkeypatch):
     # a corner state whose witness lacks a member disagrees with the oracle
     # and the sweep does not
     class Short(bench.CornerDepths):
-        def max_clique(self):
-            witness = super().max_clique()
+        def max_clique(self, alive):
+            witness = super().max_clique(alive)
             return replace(witness, members=witness.members[1:])
 
     monkeypatch.setattr(bench, "CornerDepths", Short)
     violations = verify_random(2, 11, base_seed=2)
     assert len(violations) == 2
     assert all("corner max clique" in v and "sweep max clique" not in v for v in violations)
+    assert all("on the live boxes [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]" in v for v in violations)
+
+
+def test_verify_random_checks_the_corner_state_after_deletions(monkeypatch):
+    # a corner state that never lowers a depth is right on the whole
+    # instance and goes wrong once the oracle's first clique is deleted
+    class Stale(bench.CornerDepths):
+        def _shift(self, v, delta):
+            if delta > 0:
+                super()._shift(v, delta)
+
+    monkeypatch.setattr(bench, "CornerDepths", Stale)
+    violations = verify_random(2, 11, base_seed=2)
+    assert len(violations) == 2
+    assert all("corner max clique" in v and "sweep max clique" not in v for v in violations)
+    assert not any("on the live boxes [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]" in v for v in violations)
 
 
 def test_verify_random_wants_the_least_simplicial_vertex(monkeypatch):

@@ -9,7 +9,7 @@ from rectcover.cliques import CliqueWitness, CornerDepths, max_clique_sweep
 from rectcover.geometry import Point, filter_dominated, generate_instance
 from rectcover.graph import IntersectionGraph, SimplicialSearchStats, bit_indices, build_graph, find_simplicial
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
-from rectcover.oracles import max_clique_candidates, simplicial_scan
+from rectcover.oracles import exact_mcc, max_clique_candidates, simplicial_scan, verify_independent
 from rectcover.segtree import MaxAddSegmentTree
 
 from conftest import (
@@ -124,11 +124,11 @@ def test_max_clique_bound_stops_at_first_deepest_cell():
 
 def test_corner_state_matches_sweep_and_oracle(triangle, chain3, frame4):
     for rects in (triangle, chain3, frame4, crossing_bars(5), [mk(0, 0, 1, 1)]):
-        assert CornerDepths(rects).max_clique() == max_clique_sweep(rects) == max_clique_candidates(rects)
+        assert CornerDepths(rects).max_clique((1 << len(rects)) - 1) == max_clique_sweep(rects) == max_clique_candidates(rects)
     rng = random.Random(2025)
     for t in range(60):
         rects = snapped_boxes(rng, rng.randrange(1, 25), rng.choice((3, 4, 6, 9)))
-        assert CornerDepths(rects).max_clique() == max_clique_candidates(rects), t
+        assert CornerDepths(rects).max_clique((1 << len(rects)) - 1) == max_clique_candidates(rects), t
 
 
 def test_corner_state_follows_sweeps_through_deletions():
@@ -145,53 +145,67 @@ def test_corner_state_follows_sweeps_through_deletions():
 def test_corner_state_starts_from_the_live_boxes():
     # the pair on top is dead, so the live triple below is the clique
     rects = [mk(0, 4, 2, 6), mk(1, 4, 3, 6), mk(0, 0, 2, 2), mk(1, 0, 3, 2), mk(1, 1, 3, 3), mk(0, 5, 3, 7)]
-    state = CornerDepths(rects, [2, 3, 4])
-    assert state.max_clique() == CliqueWitness((2, 3, 4), Point(1.5, 1.5))
-    assert CornerDepths(rects, [0, 1, 2]).max_clique() == CliqueWitness((0, 1), Point(1.5, 5.0))
+    state = CornerDepths(rects, 0b11100)
+    assert state.max_clique(0b11100) == CliqueWitness((2, 3, 4), Point(1.5, 1.5))
+    assert CornerDepths(rects, 0b111).max_clique(0b111) == CliqueWitness((0, 1), Point(1.5, 5.0))
 
 
 def test_corner_state_rejects_dead_and_empty():
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="empty"):
         CornerDepths([])
-    with pytest.raises(ValueError, match="at least one"):
-        CornerDepths([mk(0, 0, 1, 1)], [])
-    state = CornerDepths([mk(0, 0, 1, 1), mk(2, 0, 3, 1)], [1])
-    with pytest.raises(ValueError, match="not live"):
-        state.remove([0])
-    state.remove([1])
-    with pytest.raises(ValueError, match="not live"):
-        state.remove([1])
-    with pytest.raises(ValueError, match="no rectangle is live"):
-        state.max_clique()
+    with pytest.raises(ValueError, match="empty"):
+        CornerDepths([mk(0, 0, 1, 1)], 0)
+    # box 0 was never live, and box 2 is revived after its deletion
+    state = CornerDepths([mk(0, 0, 1, 1), mk(2, 0, 3, 1), mk(4, 0, 5, 1)], 0b110)
+    with pytest.raises(ValueError, match="rectangle 0 is not live"):
+        state.max_clique(0b111)
+    assert state.max_clique(0b010) == CliqueWitness((1,), Point(2.5, 0.5))
+    with pytest.raises(ValueError, match="rectangle 2 is not live"):
+        state.max_clique(0b110)
+    with pytest.raises(ValueError, match="empty"):
+        state.max_clique(0)
+    assert state.max_clique(0b010) == CliqueWitness((1,), Point(2.5, 0.5))
 
 
 @pytest.mark.parametrize("v", [-1, -3, 2, 7])
 def test_corner_state_rejects_ids_outside_rects(v):
-    # a negative id must not wrap around to the last boxes
+    # a negative int has infinitely many set bits, and a bit past the boxes
+    # names no box: neither may pass as a live set
     rects = [mk(0, 0, 1, 1), mk(2, 0, 3, 1)]
-    with pytest.raises(ValueError, match=rf"rectangle {v} is not in range\(2\)"):
-        CornerDepths(rects, [0, v])
+    alive, match = (v, "negative") if v < 0 else (0b11 | 1 << v, rf"rectangle {v} is not live")
+    with pytest.raises(ValueError, match=match):
+        CornerDepths(rects, alive)
     state = CornerDepths(rects)
-    with pytest.raises(ValueError, match=f"rectangle {v} is not live"):
-        state.remove([v])
-    assert state.max_clique() == CliqueWitness((0,), Point(0.5, 0.5))
-    state.remove([1, 0])
+    depths = state._depth.copy()
+    with pytest.raises(ValueError, match=match):
+        state.max_clique(alive)
+    assert np.array_equal(state._depth, depths)
+    assert state.max_clique(0b11) == CliqueWitness((0,), Point(0.5, 0.5))
 
 
-@pytest.mark.parametrize("vertices", [[0, 0], [2, 1, 1], [0, 5], [1, 3], [1, -1], [0, 2, 4, 4]])
+@pytest.mark.parametrize("vertices", [[0, 1, 2, 3, 4], [3], [0, 1, 2, 4, 5], [1, 2, 9], [0, 3, 4], []])
 def test_corner_state_rejected_remove_changes_nothing(vertices):
-    # each list is rejected at a later id, after earlier ones that are live
+    # each live set revives box 3, names a box past the list or is empty,
+    # and some would delete live boxes too: the query is rejected before
+    # any depth is lowered
     rects = [mk(0, 0, 2, 2), mk(1, 1, 3, 3), mk(1, 0, 4, 2), mk(5, 5, 6, 6), mk(0, 1, 3, 2)]
     state = CornerDepths(rects)
-    state.remove([3])
-    before, depths = state.max_clique(), state._depth.copy()
-    with pytest.raises(ValueError, match="is not live|is given twice"):
-        state.remove(vertices)
-    assert state.max_clique() == before
+    before, depths = state.max_clique(0b10111), state._depth.copy()
+    with pytest.raises(ValueError, match="is not live|empty"):
+        state.max_clique(sum(1 << v for v in vertices))
     assert np.array_equal(state._depth, depths)
-    state.remove([0, 1, 2, 4])
-    with pytest.raises(ValueError, match="no rectangle is live"):
-        state.max_clique()
+    assert state.max_clique(0b10111) == before
+    assert state.max_clique(0b00100) == CliqueWitness((2,), Point(2.5, 1.0))
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [max_clique_sweep, CornerDepths, max_clique_candidates, exact_mcc, lambda rects: verify_independent(rects, [0, 1])],
+    ids=["max_clique_sweep", "CornerDepths", "max_clique_candidates", "exact_mcc", "verify_independent"],
+)
+def test_engines_reject_non_rectangles(engine):
+    with pytest.raises(TypeError, match="expected Rectangle, got tuple"):
+        engine([mk(0, 0, 2, 2), (1.0, 1.0, 3.0, 3.0)])
 
 
 def test_corner_state_lists_each_snapped_corner_once():
@@ -401,9 +415,9 @@ def test_sweep_work_pinned(family, algo, monkeypatch):
         rounds[0] += 1
         return remove_vertices(graph, vertices)
 
-    def recorded_build(rects, live):
+    def recorded_build(rects, alive):
         switch.append(rounds[0])
-        return CornerDepths(rects, live)
+        return CornerDepths(rects, alive)
 
     add = MaxAddSegmentTree.add
     remove_vertices = IntersectionGraph.remove_vertices
