@@ -46,6 +46,7 @@ from .oracles import (
     OracleSizeError,
     exact_mcc,
     exact_mis,
+    first_kept_inside,
     max_clique_candidates,
     simplicial_scan,
     verify_cover,
@@ -81,6 +82,7 @@ __all__ = [
     "exact_mis",
     "filter_dominated",
     "find_simplicial",
+    "first_kept_inside",
     "format_csv",
     "gcc",
     "gcc_i",

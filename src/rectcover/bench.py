@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .cliques import CornerDepths, max_clique_sweep
-from .geometry import Instance, UnstabbableOverlapError, generate_instance
+from .geometry import Instance, UnstabbableOverlapError, filter_dominated, generate_instance
 from .graph import build_graph, find_simplicial
 from .heuristics import CoverResult, IndependentSetResult, gcc, gcc_i, mis_greedy, mis_i
 from .oracles import (
@@ -23,6 +23,7 @@ from .oracles import (
     DEFAULT_MIS_CAP,
     exact_mcc,
     exact_mis,
+    first_kept_inside,
     max_clique_candidates,
     simplicial_scan,
     verify_cover,
@@ -111,10 +112,10 @@ def run_algorithm(
     if result is None:
         result = ALGORITHMS[name](instance)
     if isinstance(result, CoverResult):
-        ok = verify_cover(instance.rects, result.points, result.assignment)
+        ok = verify_cover(instance, result.points, result.assignment)
         theta, phi = result.theta_count, result.phi_count
     else:
-        ok = verify_independent(instance.rects, result.members)
+        ok = verify_independent(instance, result.members)
         theta, phi = 0, 0
     return RunRecord(
         seed=instance.seed if instance.seed is not None else -1,
@@ -229,12 +230,13 @@ def verify_random(
     """Cross-check heuristics and sweeps against the exact oracles.
 
     Runs ``count`` random instances of size ``n`` and checks, per instance:
-    the sweep's and a ``CornerDepths`` state's maximum cliques equal the
-    enumeration oracle's witness on every residual of a peel by the
-    oracle's cliques, with members as positions in the live list; the
-    simplicial search returns the member of least (degree, id) of the
-    brute-force simplicial scan, or None when the scan is empty; every
-    heuristic output is valid; and the size sandwich
+    ``filter_dominated`` gives the kept indices and witnesses of the plain
+    reference ``first_kept_inside``; the sweep's and a ``CornerDepths``
+    state's maximum cliques equal the enumeration oracle's witness on every
+    residual of a peel by the oracle's cliques, with members as positions
+    in the live list; the simplicial search returns the member of least
+    (degree, id) of the brute-force simplicial scan, or None when the scan
+    is empty; every heuristic output is valid; and the size sandwich
     ``mis <= exact MIS <= exact cover <= gcc-i`` holds. Returns a list of
     violation descriptions (empty means all checks passed).
 
@@ -248,6 +250,10 @@ def verify_random(
         seed = trial_seed(base_seed, n, t)
         instance = generate_instance(n, seed=seed)
         tag = f"[n={n} seed={seed}]"
+
+        got, want = filter_dominated(instance), first_kept_inside(instance.rects)
+        if got != want:
+            violations.append(f"{tag} filter_dominated {got} != reference {want}")
 
         rects = list(instance.rects)
         state = CornerDepths(rects) if rects else None

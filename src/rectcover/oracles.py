@@ -18,11 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .cliques import CliqueWitness, _inside
-from .geometry import Point, _bounds_arrays, _check_stabbable
+from .geometry import Point, _bounds_arrays, _check_stabbable, _coord_array, contains
 from .graph import IntersectionGraph, bit_indices
 
 __all__ = [
     "OracleSizeError",
+    "first_kept_inside",
     "max_clique_candidates",
     "exact_mis",
     "exact_mcc",
@@ -203,36 +204,83 @@ def simplicial_scan(g: IntersectionGraph) -> set[int]:
     return out
 
 
+def first_kept_inside(rects) -> tuple[list[int], list[tuple[int, int]]]:
+    """Plain-Python domination filter: ``(kept, [(i, first kept j inside i)])``.
+
+    The reference for ``filter_dominated``, by testing every ordered pair.
+    """
+    rects = list(rects)
+    n = len(rects)
+    dominated = [any(contains(rects[i], rects[j]) for j in range(n)) for i in range(n)]
+    kept = [i for i in range(n) if not dominated[i]]
+    removed = [
+        (i, next(j for j in kept if contains(rects[i], rects[j])))
+        for i in range(n)
+        if dominated[i]
+    ]
+    return kept, removed
+
+
 def verify_cover(rects, points, assignment=None) -> bool:
     """True if every rectangle's open interior contains at least one point.
 
-    With an ``assignment`` (one point index per rectangle), the stronger
-    claim is checked: each rectangle contains its *assigned* point.
+    With an ``assignment`` (one integer point index per rectangle), the
+    stronger claim is checked: each rectangle contains its *assigned* point.
+    ``rects`` is an Instance, whose stored coordinates are read, or a
+    sequence of Rectangle. Without an assignment, the rectangles are tested
+    in numpy blocks of rows, each row against every point.
+
+    Raises:
+        TypeError: if ``assignment`` holds anything but integers, or an
+            element of a plain sequence is not a Rectangle.
     """
+    lx, ly, hx, hy = _coord_array(rects)
+    n = len(lx)
     pts = list(points)
+    px = np.fromiter((p.x for p in pts), dtype=float, count=len(pts))
+    py = np.fromiter((p.y for p in pts), dtype=float, count=len(pts))
     if assignment is not None:
-        rects = list(rects)
-        if len(assignment) != len(rects):
+        ks = np.asarray(assignment)
+        if ks.shape != (n,):
             return False
-        return all(
-            0 <= k < len(pts) and r.contains_point_open(pts[k])
-            for r, k in zip(rects, assignment)
+        if not n:
+            return True
+        if ks.dtype.kind not in "iu":
+            raise TypeError(f"assignment must hold integer point indices, got {ks.dtype}")
+        if not ((ks >= 0) & (ks < len(pts))).all():
+            return False
+        px, py = px[ks], py[ks]
+        return bool(((lx < px) & (px < hx) & (ly < py) & (py < hy)).all())
+    block = 1024
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        # hit[i, k]: point k lies inside rectangle start+i
+        hit = (
+            (lx[rows, None] < px)
+            & (px < hx[rows, None])
+            & (ly[rows, None] < py)
+            & (py < hy[rows, None])
         )
-    return all(any(r.contains_point_open(p) for p in pts) for r in rects)
+        if not hit.any(axis=1).all():
+            return False
+    return True
 
 
 def verify_independent(rects, members) -> bool:
     """True if the indexed rectangles are pairwise interior-disjoint.
 
-    An index outside ``range(len(rects))`` makes the set invalid, and so
-    does a repeated index: a box's interior meets itself. The pairs are
-    tested in numpy blocks of rows, each row against the members after it.
+    ``rects`` is an Instance, whose stored coordinates are read, or a
+    sequence of Rectangle. An index outside ``range(n)`` makes the set
+    invalid, and so does a repeated index: a box's interior meets itself.
+    The pairs are tested in numpy blocks of rows, each row against the
+    members after it.
     """
-    rects = list(rects)
+    coords = _coord_array(rects)
     ms = list(members)
-    if not all(0 <= m < len(rects) for m in ms):
+    if not all(0 <= m < coords.shape[1] for m in ms):
         return False
-    lx, ly, hx, hy = _bounds_arrays([rects[m] for m in ms])
+    idx = np.array(ms, dtype=np.intp)
+    lx, ly, hx, hy = (a[idx] for a in coords)
     block = 1024
     for start in range(0, len(ms), block):
         rows = slice(start, start + block)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rectcover.cliques import CliqueWitness, CornerDepths, max_clique_sweep
-from rectcover.geometry import Instance, Point, Rectangle, Region, UnstabbableOverlapError, contains
+from rectcover.geometry import Instance, Point, Rectangle, Region, UnstabbableOverlapError
 from rectcover.graph import bit_indices, build_graph, find_simplicial
 from rectcover.oracles import simplicial_scan
 
@@ -30,19 +30,6 @@ def inst_of(rects):
     else:
         region = Region(0.0, 1.0, 0.0, 1.0)
     return Instance(rects=rects, seed=None, region=region, n_requested=len(rects))
-
-
-def first_kept_inside(rects):
-    """Plain-Python domination filter: ``(kept, [(i, first kept j inside i)])``."""
-    n = len(rects)
-    dominated = [any(contains(rects[i], rects[j]) for j in range(n)) for i in range(n)]
-    kept = [i for i in range(n) if not dominated[i]]
-    removed = [
-        (i, next(j for j in kept if contains(rects[i], rects[j])))
-        for i in range(n)
-        if dominated[i]
-    ]
-    return kept, removed
 
 
 def equal_squares(n, seed):

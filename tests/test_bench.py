@@ -13,7 +13,7 @@ from rectcover.bench import (
     trial_seed,
     verify_random,
 )
-from rectcover.geometry import Point
+from rectcover.geometry import Point, contains
 
 
 def test_trial_seed_is_pure_and_64bit():
@@ -175,6 +175,22 @@ def test_verify_random_wants_the_least_simplicial_vertex(monkeypatch):
     violations = verify_random(2, 11, base_seed=2)
     assert len(violations) == 2
     assert all("least (degree, id)" in v for v in violations)
+
+
+def test_verify_random_checks_the_filter(monkeypatch):
+    # a filter that takes the highest-index kept box inside as a witness
+    # differs from the reference wherever a box holds two kept ones
+    real = bench.filter_dominated
+
+    def last_witness(instance):
+        kept, removed = real(instance)
+        rects = instance.rects
+        return kept, [(i, max(j for j in kept if contains(rects[i], rects[j]))) for i, _ in removed]
+
+    monkeypatch.setattr(bench, "filter_dominated", last_witness)
+    violations = verify_random(20, 18, base_seed=17)
+    assert violations
+    assert all("filter_dominated" in v and "!= reference" in v for v in violations)
 
 
 def test_verify_random_rejects_negative_count():

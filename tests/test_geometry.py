@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectcover import geometry
 from rectcover.geometry import (
@@ -20,7 +23,9 @@ from rectcover.geometry import (
     make_rectangle,
 )
 
-from conftest import first_kept_inside, inst_of, mk, snapped_boxes
+from rectcover.oracles import first_kept_inside
+
+from conftest import crossing_bars, equal_squares, inst_of, mk, nested_clusters, snapped_boxes
 
 
 # ---------------------------------------------------------------- rectangles
@@ -193,6 +198,13 @@ def test_instance_rejects_rect_outside_region():
             region=UNIT_SQUARE,
             n_requested=1,
         )
+    inside = mk(0.25, 0.25, 0.5, 0.5)
+    # one box past each side of the region in turn, then a later one past another
+    for bad in (mk(-0.5, 0, 0.5, 1), mk(0.5, 0, 1.5, 1), mk(0, -0.5, 1, 0.5), mk(0, 0.5, 1, 1.5)):
+        with pytest.raises(ValueError, match=r"^rectangle 2 lies outside the region"):
+            Instance((inside, inside, bad, inside, mk(0, 0, 2, 2)), None, UNIT_SQUARE, 5)
+    # closed containment: boxes on the region's boundary are inside
+    Instance((mk(0, 0, 1, 1), mk(0, 0.5, 0.5, 1)), None, UNIT_SQUARE, 2)
 
 
 def test_instance_rejects_non_rectangles():
@@ -200,6 +212,56 @@ def test_instance_rejects_non_rectangles():
         Instance((1, 2), None, UNIT_SQUARE, 2)
     with pytest.raises(TypeError, match="expected Rectangle, got NoneType"):
         Instance((mk(0.1, 0.1, 0.2, 0.2), None), None, UNIT_SQUARE, 2)
+    with pytest.raises(TypeError, match="expected Rectangle, got tuple"):
+        Instance(((0.1, 0.1, 0.2, 0.2),), None, UNIT_SQUARE, 1)
+
+
+def test_instance_coords_hold_the_rectangles():
+    instance = generate_instance(30, seed=5)
+    rects = instance.rects
+    assert instance.coords.dtype == np.float64
+    assert instance.coords.tolist() == [
+        [r.lo.x for r in rects],
+        [r.lo.y for r in rects],
+        [r.hi.x for r in rects],
+        [r.hi.y for r in rects],
+    ]
+    assert all(row.flags.c_contiguous for row in instance.coords)
+    assert generate_instance(0, seed=5).coords.shape == (4, 0)
+    assert "coords" not in repr(instance)
+
+
+def test_instance_coords_are_read_only():
+    instance = generate_instance(5, seed=1)
+    with pytest.raises(ValueError, match="read-only"):
+        instance.coords[0, 0] = 0.5
+    lx = instance.coords[0]
+    with pytest.raises(ValueError, match="read-only"):
+        lx[1] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        instance.coords = np.zeros((4, 5))
+    assert instance == generate_instance(5, seed=1)
+
+
+def test_equal_instances_compare_and_hash_equal():
+    a = generate_instance(40, seed=123)
+    b = Instance(tuple(a.rects), a.seed, a.region, a.n_requested)
+    assert a.coords is not b.coords
+    assert a == b and hash(a) == hash(b)
+    assert a != dataclasses.replace(a, seed=124)
+    assert len({a, b, generate_instance(40, seed=123)}) == 1
+
+
+def test_replace_rebuilds_the_coords():
+    instance = generate_instance(12, seed=8)
+    shorter = dataclasses.replace(instance, rects=instance.rects[3:7])
+    assert shorter.coords.shape == (4, 4)
+    assert shorter.coords.tolist() == instance.coords[:, 3:7].tolist()
+    assert not shorter.coords.flags.writeable
+    with pytest.raises(ValueError, match="rectangle 1 lies outside the region"):
+        dataclasses.replace(instance, rects=(mk(0.1, 0.1, 0.2, 0.2), mk(0.5, 0.5, 1.5, 0.9)))
+    with pytest.raises(ValueError, match="coords"):
+        dataclasses.replace(instance, coords=instance.coords)
 
 
 # ---------------------------------------------------------------- domination
@@ -279,26 +341,35 @@ def test_filter_dominated_rejects_non_rectangles():
 
 
 def test_filter_dominated_restores_the_ufunc_buffer(caller_bufsize, monkeypatch):
-    filter_dominated(generate_instance(600, seed=3))
+    instance = generate_instance(600, seed=3)
+    filter_dominated(instance)
+    assert np.getbufsize() == caller_bufsize
+    filter_dominated(list(instance.rects))
     assert np.getbufsize() == caller_bufsize
     seen = []
 
-    def failing_bounds(rects):
+    def failing(*args):
         seen.append(np.getbufsize())
         raise MemoryError
 
-    monkeypatch.setattr(geometry, "_bounds_arrays", failing_bounds)
+    # a plain sequence fails while being read, an Instance while being sorted
+    monkeypatch.setattr(geometry, "_bounds_arrays", failing)
     with pytest.raises(MemoryError):
         filter_dominated([mk(0, 0, 1, 1)])
-    assert seen == [geometry._UFUNC_BUFSIZE]
+    monkeypatch.setattr(geometry.np, "lexsort", failing)
+    with pytest.raises(MemoryError):
+        filter_dominated(instance)
+    assert seen == [geometry._UFUNC_BUFSIZE] * 2
     assert np.getbufsize() == caller_bufsize
 
 
 def test_filter_dominated_across_256_row_blocks():
-    # 1100 disjoint unit cells of equal area, so the filter's blocks of 256
-    # rows in containment order hold only cells until the last one, which
-    # holds cells 75..0 and the six larger boxes; cell c is box c + 1 and
-    # kept rectangle number c
+    # 1100 disjoint unit cells in a row; cell c is box c + 1 and kept
+    # rectangle number c. The filter's blocks of 256 rows go by lo.x
+    # descending: the first holds cells 1099..848 and the four boxes around
+    # cells 1020..1040, the last holds cells 79..0 and the boxes around 3..4
+    # and 0..1099. The middle blocks hold only cells, and their windows are
+    # empty: every cell kept so far starts right of their largest hi.x.
     cells = [mk(2 * c, 0, 2 * c + 1, 1) for c in range(1100)]
 
     def around(first, last):  # a box holding cells first..last
@@ -312,8 +383,8 @@ def test_filter_dominated_across_256_row_blocks():
             around(1020, 1030),
             around(1024, 1026),
             around(1028, 1040),  # also holds the removed box around 1030..1032,
-            # which sits in its own block
-            around(0, 1099),  # cells of every block
+            # which its block visits first
+            around(0, 1099),  # cells of every block, the last block's window
         ]
     )
     kept, removed = filter_dominated(rects)
@@ -325,10 +396,11 @@ def test_filter_dominated_across_256_row_blocks():
 
 
 def test_nested_boxes_of_equal_float_area_split_by_a_block_boundary():
-    # the two widths round to the same double, so the pair ties on area;
-    # with 255 smaller boxes first, the outer box (index 255) and the inner
-    # one (index 256) sit at sorted positions 255 and 256, one on each side
-    # of the first block boundary, whichever of the two comes first
+    # the two widths round to the same double, so the pair ties on area,
+    # which the filter's x-order does not read; with 255 boxes further right
+    # first, the inner box (index 256) and the outer one (index 255) sit at
+    # sorted positions 255 and 256, one on each side of the first block
+    # boundary, and the outer box's block reaches the inner one's lo.x only
     assert 1 + 2**-52 - 2**-60 == 1 + 2**-52
     small = [mk(2 + 0.02 * c, 0, 2.01 + 0.02 * c, 0.01) for c in range(255)]
     outer = mk(0, 0, 1 + 2**-52, 1)
@@ -339,3 +411,84 @@ def test_nested_boxes_of_equal_float_area_split_by_a_block_boundary():
     assert removed == [(255, 256)]
     assert kept == list(range(255)) + [256]
     assert (kept, removed) == first_kept_inside(rects)
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [mk(0, 0, 1, 1), mk(0, 0.5, 2, 1), mk(0, 0, 2, 0.5)],
+    ids=["hi.x", "lo.y", "hi.y"],
+)
+def test_nested_boxes_of_equal_lo_x_split_by_a_block_boundary(inner):
+    # inner and outer share lo.x = 0 and differ first in the tie key named
+    # by the id; 255 boxes further right fill the first block, so the inner
+    # box closes it and the outer one opens the next, where it must find
+    # the inner one kept, whether it has the lower index or the higher.
+    outer = mk(0, 0, 2, 1)
+    right = [mk(3 + 0.02 * c, 0, 3.01 + 0.02 * c, 0.01) for c in range(255)]
+    rects = [outer, inner] + right
+    assert filter_dominated(rects) == first_kept_inside(rects) == ([*range(1, 257)], [(0, 1)])
+    rects = right + [inner, outer]
+    assert filter_dominated(rects) == first_kept_inside(rects) == ([*range(256)], [(256, 255)])
+
+
+def test_window_edge_holds_a_kept_box_starting_at_the_largest_hi_x():
+    # The first block holds 254 boxes right of x = 5, the kept box K with
+    # lo.x = 1 and the kept box C = [0.9, 1] x [0, 1]. The second block's
+    # largest hi.x is 1, K's lo.x: K enters the window and touches O and P
+    # along x = 1 without lying inside either. O holds C, right edges
+    # touching; P, overlapping both, holds neither.
+    right = [mk(5 + 0.02 * c, 0, 5.01 + 0.02 * c, 0.01) for c in range(254)]
+    k, c = mk(1, 0, 2, 1), mk(0.9, 0, 1, 1)
+    o, p = mk(0, 0, 1, 1), mk(0.8, 0.5, 1, 1.5)
+    rects = [o, p] + right + [k, c]
+    kept, removed = filter_dominated(rects)
+    assert removed == [(0, 257)]
+    assert kept == list(range(1, 258))
+    assert (kept, removed) == first_kept_inside(rects)
+
+
+def test_window_leaves_out_most_kept_boxes_of_narrow_clusters(monkeypatch):
+    # 1000 boxes around 40 points make four blocks, about half of them
+    # dominated; a box reaches at most 0.04 from its point, so a block's
+    # largest hi.x lies left of most clusters kept by the blocks before it
+    rects = nested_clusters(1000, 40, 0)
+    instance = inst_of(rects)
+    windows = []
+    searchsorted = np.searchsorted
+
+    def spy(a, v, **kwargs):
+        reach = searchsorted(a, v, **kwargs)
+        windows.append((int(reach), len(a)))
+        return reach
+
+    monkeypatch.setattr(geometry.np, "searchsorted", spy)
+    result = filter_dominated(instance)
+    monkeypatch.undo()
+    assert result == filter_dominated(rects) == first_kept_inside(rects)
+    assert len(windows) == 4 and len(result[1]) > 400
+    # the windows hold less than a third of the boxes kept before each block
+    assert sum(r for r, _ in windows) * 3 < sum(k for _, k in windows)
+
+
+@st.composite
+def conftest_family(draw):
+    """Up to 60 boxes of one of the conftest families, or uniform ones."""
+    n = draw(st.integers(0, 60))
+    seed = draw(st.integers(0, 2**32))
+    kind = draw(st.sampled_from(["uniform", "squares", "snapped", "bars", "clusters"]))
+    if kind == "uniform":
+        return list(generate_instance(n, seed=seed).rects)
+    if kind == "squares":
+        return equal_squares(n, seed) if n else []
+    if kind == "snapped":
+        return snapped_boxes(random.Random(seed), n, draw(st.integers(1, 8)))
+    if kind == "bars":
+        return crossing_bars(n // 2)
+    return nested_clusters(n, draw(st.integers(1, 6)), seed)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(conftest_family())
+def test_filter_dominated_reads_an_instance_as_its_rectangles(rects):
+    instance = inst_of(rects)
+    assert filter_dominated(instance) == filter_dominated(rects) == first_kept_inside(rects)

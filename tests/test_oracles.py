@@ -290,6 +290,38 @@ def test_verify_cover_with_assignment():
     assert not verify_cover(rects, [Point(0.5, 0.5)])  # misses rect 1
 
 
+def test_verify_cover_reads_an_instance_as_its_rectangles():
+    rects = [mk(0, 0, 2, 2), mk(1, 1, 3, 3), mk(2, 0, 3, 1)]
+    instance = inst_of(rects)
+    pts = [Point(1.5, 1.5), Point(2.5, 0.5), Point(2.0, 0.5)]
+    for boxes in (rects, instance):
+        assert verify_cover(boxes, pts)
+        assert verify_cover(boxes, pts, assignment=(0, 0, 1))
+        assert not verify_cover(boxes, pts[:1])  # misses box 2
+        assert not verify_cover(boxes, pts, assignment=(0, 0, 2))  # on box 2's edge
+        assert not verify_cover(boxes, pts, assignment=(0, 0))  # wrong length
+        assert not verify_cover(boxes, pts, assignment=(0, 0, 1, 1))
+        assert not verify_cover(boxes, pts, assignment=(0, -1, 1))  # -1 must not wrap
+        assert not verify_cover(boxes, pts, assignment=(0, 0, 3))
+        assert not verify_cover(boxes, [], assignment=(0, 0, 0))
+        assert not verify_cover(boxes, [])
+        with pytest.raises(TypeError, match="integer"):
+            verify_cover(boxes, pts, assignment=(0.0, 0.0, 1.0))
+    empty = inst_of([])
+    assert verify_cover(empty, []) and verify_cover(empty, [], assignment=())
+
+
+def test_verify_cover_rows_across_blocks():
+    # more boxes than one block of rows; the one box left unstabbed sits in
+    # the second block
+    row = [mk(2 * i, 0, 2 * i + 1, 1) for i in range(1100)]
+    pts = [Point(2 * i + 0.5, 0.5) for i in range(1100)]
+    for boxes in (row, inst_of(row)):
+        assert verify_cover(boxes, pts)
+        assert not verify_cover(boxes, pts[:1050] + pts[1051:])
+        assert verify_cover(boxes, pts, assignment=range(1100))
+
+
 def test_verify_independent_examples(chain3):
     assert verify_independent(chain3, [0, 2])
     assert not verify_independent(chain3, [0, 1])
@@ -301,9 +333,12 @@ def test_verify_independent_examples(chain3):
 
 def test_verify_independent_rejects_out_of_range_members():
     disjoint = [mk(0, 0, 1, 1), mk(2, 0, 3, 1)]
-    assert verify_independent(disjoint, [0, 1])
-    assert not verify_independent(disjoint, [-1, 0])  # -1 must not wrap to box 1
-    assert not verify_independent(disjoint, [0, 7])
+    for boxes in (disjoint, inst_of(disjoint)):
+        assert verify_independent(boxes, [0, 1])
+        assert not verify_independent(boxes, [-1, 0])  # -1 must not wrap to box 1
+        assert not verify_independent(boxes, [0, 7])
+        assert not verify_independent(boxes, [0, 0])
+        assert verify_independent(boxes, [])
 
 
 def test_verify_independent_rejects_repeated_members():

@@ -16,12 +16,13 @@ from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import (
     exact_mcc,
     exact_mis,
+    first_kept_inside,
     max_clique_candidates,
     verify_cover,
     verify_independent,
 )
 
-from conftest import check_corner_state_follows_sweeps, check_remembered_search, first_kept_inside, inst_of, mk
+from conftest import check_corner_state_follows_sweeps, check_remembered_search, inst_of, mk
 
 HALF = 0.5
 COORDS = [0.0, math.nextafter(HALF, 0.0), HALF, math.nextafter(HALF, 1.0), 1.0, 2.0, 3.0]
@@ -101,7 +102,9 @@ def test_output_checks_match_pairwise_tests(rects, data):
     independent = all(0 <= m < n for m in members) and not any(
         interiors_intersect(rects[a], rects[b]) for i, a in enumerate(members) for b in members[i + 1 :]
     )
+    instance = inst_of(rects)
     assert verify_independent(rects, members) == independent
+    assert verify_independent(instance, members) == independent
 
     # each box's own centre, which a one-ulp box does not hold, and a few
     # points on and off the grid lines
@@ -112,7 +115,10 @@ def test_output_checks_match_pairwise_tests(rects, data):
         0 <= k < len(points) and r.contains_point_open(points[k]) for r, k in zip(rects, assignment)
     )
     assert verify_cover(rects, points, assignment) == covered
-    assert verify_cover(rects, points) == all(any(r.contains_point_open(p) for p in points) for r in rects)
+    assert verify_cover(instance, points, assignment) == covered
+    stabbed = all(any(r.contains_point_open(p) for p in points) for r in rects)
+    assert verify_cover(rects, points) == stabbed
+    assert verify_cover(instance, points) == stabbed
 
 
 
