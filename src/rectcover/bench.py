@@ -232,13 +232,15 @@ def verify_random(
     Runs ``count`` random instances of size ``n`` and checks, per instance:
     ``filter_dominated`` gives the kept indices and witnesses of the plain
     reference ``first_kept_inside``; the sweep's and a ``CornerDepths``
-    state's maximum cliques equal the enumeration oracle's witness on every
-    residual of a peel by the oracle's cliques, with members as positions
-    in the live list; the simplicial search returns the member of least
-    (degree, id) of the brute-force simplicial scan, or None when the scan
-    is empty; every heuristic output is valid; and the size sandwich
-    ``mis <= exact MIS <= exact cover <= gcc-i`` holds. Returns a list of
-    violation descriptions (empty means all checks passed).
+    state's maximum cliques, read from box arrays of ``instance.coords`` as
+    the heuristics read them, equal the enumeration oracle's witness, read
+    from the rectangles, on every residual of a peel by the oracle's
+    cliques, with members as positions in the live list; the simplicial
+    search returns the member of least (degree, id) of the brute-force
+    simplicial scan, or None when the scan is empty; every heuristic output
+    is valid; and the size sandwich ``mis <= exact MIS <= exact cover <=
+    gcc-i`` holds. Returns a list of violation descriptions (empty means
+    all checks passed).
 
     Raises:
         ValueError: if ``count`` is negative.
@@ -255,13 +257,14 @@ def verify_random(
         if got != want:
             violations.append(f"{tag} filter_dominated {got} != reference {want}")
 
-        rects = list(instance.rects)
-        state = CornerDepths(rects) if rects else None
+        # the engines get what the heuristics' peel gives them, box arrays
+        # read from instance.coords; the oracle gets the rectangles
+        rects, boxes = instance.rects, instance.coords.T
+        state = CornerDepths(instance) if rects else None
         live = list(range(len(rects)))
         while live:
-            sub = [rects[v] for v in live]
-            want = max_clique_candidates(sub)
-            got = {"sweep": max_clique_sweep(sub)}
+            want = max_clique_candidates([rects[v] for v in live])
+            got = {"sweep": max_clique_sweep(boxes[live])}
             try:
                 corner = state.max_clique(sum(1 << v for v in live))
                 got["corner"] = replace(corner, members=tuple(map(live.index, corner.members)))
@@ -273,7 +276,7 @@ def verify_random(
                 break
             live = [v for i, v in enumerate(live) if i not in want.members]
 
-        graph = build_graph(instance.rects)
+        graph = build_graph(instance)
         scan = simplicial_scan(graph)
         vertex = find_simplicial(graph)
         least = min(scan, key=lambda v: (graph.degree(v), v)) if scan else None
@@ -289,7 +292,7 @@ def verify_random(
                 violations.append(f"{tag} {name} {what}")
 
         opt_ind, _ = exact_mis(graph, cap=mis_cap)
-        opt_cover, _ = exact_mcc(list(instance.rects), cap=mcc_cap)
+        opt_cover, _ = exact_mcc(rects, cap=mcc_cap)
         lo, hi = records["mis"].size, records["gcc-i"].size
         if not (lo <= opt_ind <= opt_cover <= hi):
             violations.append(

@@ -7,6 +7,11 @@ overlap arrangement and every clique can be stabbed by one point. The sweep
 starts from scratch each call; ``CornerDepths`` keeps the depths of the
 candidate corners across a peel's deletions, read off its live bitset. The
 simplicial search needs only the graph and lives with it in ``graph``.
+
+Both engines read their boxes through ``geometry._coord_array``: an
+Instance, a ``(k, 4)`` float64 box array or a sequence of Rectangle. The
+heuristics pass row slices of ``instance.coords.T``, so a box's id is its
+row.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .geometry import Point, UnstabbableOverlapError, _bounds_arrays, _small_ufunc_buffer
+from .geometry import Point, UnstabbableOverlapError, _coord_array, _small_ufunc_buffer
 from .graph import bit_indices
 from .segtree import MaxAddSegmentTree
 
@@ -39,8 +44,8 @@ class CliqueWitness:
         return len(self.members)
 
 
-def max_clique_sweep(rects, *, bound: int | None = None) -> CliqueWitness:
-    """Maximum clique of a rectangle list by top-to-bottom line sweep.
+def max_clique_sweep(boxes, *, bound: int | None = None) -> CliqueWitness:
+    """Maximum clique of the given boxes by top-to-bottom line sweep.
 
     The x-axis is discretized into elementary intervals between the sorted
     distinct x-coordinates. Sweeping y downward, each rectangle's top edge
@@ -54,7 +59,7 @@ def max_clique_sweep(rects, *, bound: int | None = None) -> CliqueWitness:
     (decreasing y, then increasing x).
 
     ``bound`` must be at least the maximum clique size; it defaults to the
-    number of rectangles. The sweep stops at the first cell as deep as
+    number of boxes. The sweep stops at the first cell as deep as
     ``bound``. No cell is deeper, so that cell is the first maximum in
     sweep order and the witness is the one the full sweep returns. A
     ``bound`` below the maximum clique size breaks that contract: the
@@ -62,19 +67,20 @@ def max_clique_sweep(rects, *, bound: int | None = None) -> CliqueWitness:
     necessarily a maximum one.
 
     Raises:
-        ValueError: if ``rects`` is empty or ``bound`` is below 1.
+        ValueError: if ``boxes`` is empty or ``bound`` is below 1.
+        TypeError, DegenerateRectangleError: as ``_coord_array`` does.
         UnstabbableOverlapError: if the winning cell is one ulp wide and both
             of its corners lie on a member's boundary.
     """
-    rects = list(rects)
-    if not rects:
+    coords = lx, ly, hx, hy = _coord_array(boxes)
+    n = len(lx)
+    if not n:
         raise ValueError("max_clique_sweep needs at least one rectangle")
     if bound is None:
-        bound = len(rects)
+        bound = n
     elif bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
 
-    bounds = lx, ly, hx, hy = _bounds_arrays(rects)
     xs = np.unique(np.concatenate((lx, hx)))
     first, end = np.searchsorted(xs, lx).tolist(), np.searchsorted(xs, hx).tolist()
     xs = xs.tolist()
@@ -110,7 +116,7 @@ def max_clique_sweep(rects, *, bound: int | None = None) -> CliqueWitness:
             rises = kind == TOP
         add(a, b, -kind)
 
-    return _witness(np.arange(len(rects)), bounds, best_depth, best_cell)
+    return _witness(np.arange(n), coords, best_depth, best_cell)
 
 
 def _witness(ids, bounds, depth: int, cell) -> CliqueWitness:
@@ -210,16 +216,17 @@ class CornerDepths:
     one slice per box for the starting depths.
     """
 
-    def __init__(self, rects, alive=None):
-        """State over ``rects`` whose live boxes are the set bits of ``alive`` (default all).
+    def __init__(self, boxes, alive=None):
+        """State over ``boxes`` whose live boxes are the set bits of ``alive`` (default all).
 
         Raises:
-            ValueError: as ``max_clique`` does, for a bit past ``rects`` too.
+            ValueError: as ``max_clique`` does, for a bit past ``boxes`` too.
+            TypeError, DegenerateRectangleError: as ``_coord_array`` does.
         """
-        self._bounds = lx, ly, hx, hy = _bounds_arrays(list(rects))
+        self._coords = lx, ly, hx, hy = _coord_array(boxes)
         self._alive = (1 << len(lx)) - 1
         ids = self._take(self._alive if alive is None else alive)
-        self._x, self._y = _corner_points(tuple(a[ids] for a in self._bounds))
+        self._x, self._y = _corner_points(tuple(a[ids] for a in self._coords))
         # per box: its y-slice [y0, y1) of the corners and its x-bounds
         y0, y1 = np.searchsorted(-self._y, -hy), np.searchsorted(-self._y, -ly)
         self._slices = list(zip(y0.tolist(), y1.tolist(), lx.tolist(), hx.tolist()))
@@ -235,7 +242,7 @@ class CornerDepths:
         if extra:
             raise ValueError(f"rectangle {(extra & -extra).bit_length() - 1} is not live")
         self._alive = alive
-        n = len(self._bounds[0])
+        n = self._coords.shape[1]
         raw = np.frombuffer(alive.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
         return np.flatnonzero(np.unpackbits(raw, count=n, bitorder="little"))
 
@@ -251,7 +258,7 @@ class CornerDepths:
         ``alive`` is a bitset of box ids, and the boxes gone from it since
         the last live set are deleted first. The first deepest corner is the
         top-left corner of the sweep's cell; the next live x to its right
-        and the next live y below it close the cell. Members index ``rects``.
+        and the next live y below it close the cell. Members index ``boxes``.
 
         Raises:
             ValueError: if ``alive`` is empty, negative or has a box that was
@@ -264,7 +271,7 @@ class CornerDepths:
             self._shift(v, -1)
         c = int(self._depth.argmax())  # the first maximum
         left, top = float(self._x[c]), float(self._y[c])
-        bounds = lx, ly, hx, hy = tuple(a[ids] for a in self._bounds)
+        bounds = lx, ly, hx, hy = tuple(a[ids] for a in self._coords)
         xs, ys = np.concatenate((lx, hx)), np.concatenate((ly, hy))
         cell = (left, float(xs[xs > left].min()), float(ys[ys < top].max()), top)
         return _witness(ids, bounds, int(self._depth[c]), cell)

@@ -6,6 +6,14 @@ point, so boxes that merely touch along an edge or corner do not intersect.
 Containment, by contrast, uses the closed boxes.
 
 An ``Instance`` stores its coordinates once, as a read-only ``(4, n)`` array.
+``_coord_array`` is the one reader of box coordinates: it returns that
+array for an Instance, checks and transposes a ``(k, 4)`` box array (one row
+``lo.x, lo.y, hi.x, hi.y`` per box, as ``instance.coords.T`` gives), and
+reads a sequence of ``Rectangle`` into a new array. ``filter_dominated``,
+``common_intersection``, the verifiers, the graph build and both clique
+engines read their input through it. The heuristics hand the graph build
+and the engines row slices of ``instance.coords.T``, so a solve reads no
+``Rectangle`` after the instance is built.
 
 ``filter_dominated`` finds the rectangles that contain another one, and for
 each a kept rectangle inside it, in one pass: it visits the rectangles by
@@ -222,13 +230,6 @@ def contains(outer: Rectangle, inner: Rectangle) -> bool:
     )
 
 
-def _check_rectangles(rects) -> None:
-    """Raise TypeError unless every element of ``rects`` is a Rectangle."""
-    for r in rects:
-        if not isinstance(r, Rectangle):
-            raise TypeError(f"expected Rectangle, got {type(r).__name__}")
-
-
 # numpy 2.4 runs a broadcast comparison whose rows are shorter than about a
 # third of the ufunc buffer (8192 elements by default) through the buffered
 # iterator: np.less_equal of a (256, 1) column against K doubles cost about
@@ -253,40 +254,52 @@ def _small_ufunc_buffer():
         np.setbufsize(old)
 
 
-def _bounds_arrays(rects):
-    n = len(rects)
-    try:
-        lx = np.fromiter((r.lo.x for r in rects), dtype=float, count=n)
-        ly = np.fromiter((r.lo.y for r in rects), dtype=float, count=n)
-        hx = np.fromiter((r.hi.x for r in rects), dtype=float, count=n)
-        hy = np.fromiter((r.hi.y for r in rects), dtype=float, count=n)
-    except AttributeError:
-        _check_rectangles(rects)
-        raise
-    return lx, ly, hx, hy
+def _coord_array(boxes) -> np.ndarray:
+    """The ``(4, k)`` coordinate array of ``boxes``, rows ``lo.x, lo.y, hi.x, hi.y``.
 
-
-def _coord_array(rects) -> np.ndarray:
-    """The ``(4, n)`` coordinate array of ``rects``, rows ``lo.x, lo.y, hi.x, hi.y``.
-
-    An Instance gives its stored array; a plain sequence is read into a new one.
+    This is the one reader of box coordinates. An Instance gives its stored
+    array. A ``(k, 4)`` float64 box array, one row ``(lo.x, lo.y, hi.x,
+    hi.y)`` per box as ``instance.coords.T`` and its row slices give, is
+    checked and transposed, with contiguous rows: strided rows compare about
+    twice as slowly. A sequence of Rectangle is checked and read into a new
+    array.
 
     Raises:
-        TypeError: if an element of a plain sequence is not a Rectangle.
+        TypeError: if an element of a sequence is not a Rectangle, or a box
+            array is not float64 of shape ``(k, 4)``.
+        DegenerateRectangleError: if a row of a box array holds a non-finite
+            value or lacks ``lo < hi`` on either axis.
     """
-    if isinstance(rects, Instance):
-        return rects.coords
-    rects = tuple(rects)
-    _check_rectangles(rects)
-    return np.stack(_bounds_arrays(rects))
+    if isinstance(boxes, Instance):
+        return boxes.coords
+    if isinstance(boxes, np.ndarray):
+        if boxes.ndim != 2 or boxes.shape[1] != 4 or boxes.dtype != np.float64:
+            raise TypeError(f"expected a (k, 4) float64 box array, got {boxes.dtype} of shape {boxes.shape}")
+        coords = np.ascontiguousarray(boxes.T)
+        proper = (coords[:2] < coords[2:]).all(axis=0) & np.isfinite(coords).all(axis=0)
+        if not proper.all():
+            i = int(proper.argmin())
+            raise DegenerateRectangleError(f"need finite lo < hi componentwise, got box {i}: {boxes[i].tolist()}")
+        return coords
+    rects = tuple(boxes)
+    for r in rects:
+        if not isinstance(r, Rectangle):
+            raise TypeError(f"expected Rectangle, got {type(r).__name__}")
+    n = len(rects)
+    return np.stack([
+        np.fromiter((r.lo.x for r in rects), dtype=float, count=n),
+        np.fromiter((r.lo.y for r in rects), dtype=float, count=n),
+        np.fromiter((r.hi.x for r in rects), dtype=float, count=n),
+        np.fromiter((r.hi.y for r in rects), dtype=float, count=n),
+    ])
 
 
-def _check_stabbable(bounds) -> None:
+def _check_stabbable(coords) -> None:
     """Raise UnstabbableOverlapError if some lo is one ulp below some hi.
 
-    ``bounds`` is the ``(lx, ly, hx, hy)`` array tuple of the rectangles.
+    ``coords`` is the boxes' ``(4, k)`` array from ``_coord_array``.
     """
-    lx, ly, hx, hy = bounds
+    lx, ly, hx, hy = coords
     for axis, lo, hi in (("x", lx, hx), ("y", ly, hy)):
         # a set, not np.isin or a numpy sort: their first call maps 0.6-1.6
         # MB more of numpy's code and work buffers, which shows in peak RSS
@@ -311,11 +324,12 @@ def filter_dominated(instance) -> tuple[list[int], list[tuple[int, int]]]:
     rectangle inside ``i``'s closed box: any point interior to ``w`` is
     interior to ``i``.
 
-    Accepts an Instance, whose stored coordinates it reads, or any sequence
-    of Rectangle.
+    Accepts what ``_coord_array`` reads: an Instance, whose stored
+    coordinates it reads, a ``(k, 4)`` float64 box array or a sequence of
+    Rectangle.
 
     Raises:
-        TypeError: if an element of a plain sequence is not a Rectangle.
+        TypeError, DegenerateRectangleError: as ``_coord_array`` does.
     """
     coords = _coord_array(instance)
     lx, ly, hx, hy = coords
@@ -367,15 +381,16 @@ def filter_dominated(instance) -> tuple[list[int], list[tuple[int, int]]]:
     return np.flatnonzero(is_kept).tolist(), list(zip(removed.tolist(), witness[removed].tolist()))
 
 
-def common_intersection(rects) -> Rectangle | None:
-    """Intersection box of all rectangles, or None if it has no interior."""
-    rects = list(rects)
-    if not rects:
+def common_intersection(boxes) -> Rectangle | None:
+    """Intersection box of all boxes, or None if it has no interior.
+
+    ``boxes`` is anything ``_coord_array`` reads: an Instance, a ``(k, 4)``
+    float64 box array or a sequence of Rectangle.
+    """
+    lx, ly, hx, hy = _coord_array(boxes).tolist()
+    if not lx:
         raise ValueError("common_intersection of an empty collection")
-    lo_x = max(r.lo.x for r in rects)
-    hi_x = min(r.hi.x for r in rects)
-    lo_y = max(r.lo.y for r in rects)
-    hi_y = min(r.hi.y for r in rects)
+    lo_x, lo_y, hi_x, hi_y = max(lx), max(ly), min(hx), min(hy)
     if lo_x < hi_x and lo_y < hi_y:
         return Rectangle(Point(lo_x, lo_y), Point(hi_x, hi_y))
     return None

@@ -16,7 +16,9 @@ across deletions. The memory is private to this module: only
 ``find_simplicial`` reads it and adds to it, and only ``remove_vertices``
 forgets from it.
 
-The graph is built by one quadratic pairwise test, vectorized with numpy
+The graph is built from the boxes' coordinate rows, read by
+``geometry._coord_array`` (the heuristics pass a box-array slice of
+``Instance.coords``), by one quadratic pairwise test, vectorized with numpy
 under a small ufunc buffer (see ``geometry._small_ufunc_buffer``). On the
 kept sets the heuristics build graphs for, it is faster than a plane sweep
 over candidate pairs; the sweep wins only on nearly edge-free inputs.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _bounds_arrays, _check_rectangles, _check_stabbable, _small_ufunc_buffer
+from .geometry import _check_stabbable, _coord_array, _small_ufunc_buffer
 
 __all__ = ["IntersectionGraph", "SimplicialSearchStats", "build_graph", "bit_indices", "find_simplicial"]
 
@@ -239,9 +241,9 @@ def find_simplicial(g: IntersectionGraph, stats: SimplicialSearchStats | None = 
 
 
 @_small_ufunc_buffer()
-def _build_pairwise(bounds) -> tuple[list[int], np.ndarray]:
+def _build_pairwise(coords) -> tuple[list[int], np.ndarray]:
     """All-pairs open-overlap test: adjacency bitset rows and degrees."""
-    lx, ly, hx, hy = bounds
+    lx, ly, hx, hy = coords
     n = len(lx)
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
     degrees = np.zeros(n, dtype=np.intp)
@@ -260,22 +262,23 @@ def _build_pairwise(bounds) -> tuple[list[int], np.ndarray]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed], degrees
 
 
-def build_graph(rects) -> IntersectionGraph:
-    """Build the intersection graph of a rectangle list.
+def build_graph(boxes) -> IntersectionGraph:
+    """Build the intersection graph of the given boxes.
 
-    Vertex ``i`` is ``rects[i]``. Every pair is tested at once with numpy,
-    in blocks of rows, and each row is packed into a bitset.
+    Vertex ``i`` is box ``i`` of ``boxes``: an Instance, a ``(k, 4)``
+    float64 box array or a sequence of Rectangle, read by
+    ``geometry._coord_array``. Every pair is tested at once with numpy, in
+    blocks of rows, and each row is packed into a bitset.
 
     Raises:
-        UnstabbableOverlapError: if some rectangle's lower coordinate is one
-            ulp below some rectangle's upper coordinate on the same axis.
+        TypeError, DegenerateRectangleError: as ``_coord_array`` does.
+        UnstabbableOverlapError: if some box's lower coordinate is one ulp
+            below some box's upper coordinate on the same axis.
     """
-    rects = list(rects)
-    _check_rectangles(rects)
-    bounds = _bounds_arrays(rects)
-    _check_stabbable(bounds)
-    rows, degrees = _build_pairwise(bounds)
-    classes = [0] * (int(degrees.max()) + 1 if len(rects) else 0)
+    coords = _coord_array(boxes)
+    _check_stabbable(coords)
+    rows, degrees = _build_pairwise(coords)
+    classes = [0] * (int(degrees.max()) + 1 if len(rows) else 0)
     for v, d in enumerate(degrees.tolist()):
         classes[d] |= 1 << v
-    return IntersectionGraph(rows, classes, (1 << len(rects)) - 1)
+    return IntersectionGraph(rows, classes, (1 << len(rows)) - 1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cliques import CliqueWitness, _inside
-from .geometry import Point, _bounds_arrays, _check_stabbable, _coord_array, contains
+from .geometry import Point, _check_stabbable, _coord_array, contains
 from .graph import IntersectionGraph, bit_indices
 
 __all__ = [
@@ -65,7 +65,7 @@ def _cells(rects):
         UnstabbableOverlapError: if some lower coordinate is one ulp below
             some upper coordinate on the same axis, as ``build_graph`` does.
     """
-    _check_stabbable(_bounds_arrays(rects))
+    _check_stabbable(_coord_array(rects))
     cell_x, xmasks = _axis_cells([r.lo.x for r in rects], [r.hi.x for r in rects])
     cell_y, ymasks = _axis_cells([r.lo.y for r in rects], [r.hi.y for r in rects])
     for y, my in zip(reversed(cell_y), reversed(ymasks)):
@@ -226,13 +226,15 @@ def verify_cover(rects, points, assignment=None) -> bool:
 
     With an ``assignment`` (one integer point index per rectangle), the
     stronger claim is checked: each rectangle contains its *assigned* point.
-    ``rects`` is an Instance, whose stored coordinates are read, or a
-    sequence of Rectangle. Without an assignment, the rectangles are tested
-    in numpy blocks of rows, each row against every point.
+    ``rects`` is an Instance, whose stored coordinates are read, a
+    ``(k, 4)`` box array or a sequence of Rectangle (see
+    ``geometry._coord_array``). Without an assignment, the rectangles are
+    tested in numpy blocks of rows, each row against every point.
 
     Raises:
-        TypeError: if ``assignment`` holds anything but integers, or an
-            element of a plain sequence is not a Rectangle.
+        TypeError: if ``assignment`` holds anything but integers, or as
+            ``_coord_array`` raises it.
+        DegenerateRectangleError: as ``_coord_array`` raises it.
     """
     lx, ly, hx, hy = _coord_array(rects)
     n = len(lx)
@@ -269,8 +271,9 @@ def verify_cover(rects, points, assignment=None) -> bool:
 def verify_independent(rects, members) -> bool:
     """True if the indexed rectangles are pairwise interior-disjoint.
 
-    ``rects`` is an Instance, whose stored coordinates are read, or a
-    sequence of Rectangle. An index outside ``range(n)`` makes the set
+    ``rects`` is an Instance, whose stored coordinates are read, a
+    ``(k, 4)`` box array or a sequence of Rectangle (see
+    ``geometry._coord_array``). An index outside ``range(n)`` makes the set
     invalid, and so does a repeated index: a box's interior meets itself.
     The pairs are tested in numpy blocks of rows, each row against the
     members after it.

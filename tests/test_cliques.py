@@ -6,7 +6,7 @@ import pytest
 
 from rectcover import heuristics
 from rectcover.cliques import CliqueWitness, CornerDepths, max_clique_sweep
-from rectcover.geometry import Point, filter_dominated, generate_instance
+from rectcover.geometry import DegenerateRectangleError, Point, common_intersection, filter_dominated, generate_instance
 from rectcover.graph import IntersectionGraph, SimplicialSearchStats, bit_indices, build_graph, find_simplicial
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import exact_mcc, max_clique_candidates, simplicial_scan, verify_independent
@@ -69,10 +69,14 @@ def test_max_clique_touching_is_not_deeper():
 
 
 def test_max_clique_matches_candidate_oracle():
+    # the instance's box array, or a slice of it, gives what its rectangles give
+    odd = list(range(1, 35, 2))
     for seed in range(40):
         instance = generate_instance(35, seed=500 + seed)
         rects = list(instance.rects)
-        assert max_clique_sweep(rects) == max_clique_candidates(rects), seed
+        assert max_clique_sweep(rects) == max_clique_sweep(instance.coords.T) == max_clique_candidates(rects), seed
+        sliced = max_clique_sweep(instance.coords.take(odd, axis=1).T)
+        assert sliced == max_clique_candidates([rects[i] for i in odd]), seed
 
 
 def test_max_clique_stab_hits_exactly_members():
@@ -123,12 +127,19 @@ def test_max_clique_bound_stops_at_first_deepest_cell():
 
 
 def test_corner_state_matches_sweep_and_oracle(triangle, chain3, frame4):
+    # the instance's box array, or a slice of it, gives what its rectangles give
     for rects in (triangle, chain3, frame4, crossing_bars(5), [mk(0, 0, 1, 1)]):
-        assert CornerDepths(rects).max_clique((1 << len(rects)) - 1) == max_clique_sweep(rects) == max_clique_candidates(rects)
+        full = (1 << len(rects)) - 1
+        want = max_clique_candidates(rects)
+        assert CornerDepths(rects).max_clique(full) == CornerDepths(inst_of(rects).coords.T).max_clique(full) == want
+        assert max_clique_sweep(rects) == want
     rng = random.Random(2025)
     for t in range(60):
         rects = snapped_boxes(rng, rng.randrange(1, 25), rng.choice((3, 4, 6, 9)))
         assert CornerDepths(rects).max_clique((1 << len(rects)) - 1) == max_clique_candidates(rects), t
+        even = list(range(0, len(rects), 2))
+        state = CornerDepths(inst_of(rects).coords.take(even, axis=1).T)
+        assert state.max_clique((1 << len(even)) - 1) == max_clique_candidates(rects[::2]), t
 
 
 def test_corner_state_follows_sweeps_through_deletions():
@@ -206,6 +217,26 @@ def test_corner_state_rejected_remove_changes_nothing(vertices):
 def test_engines_reject_non_rectangles(engine):
     with pytest.raises(TypeError, match="expected Rectangle, got tuple"):
         engine([mk(0, 0, 2, 2), (1.0, 1.0, 3.0, 3.0)])
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [filter_dominated, build_graph, max_clique_sweep, CornerDepths, common_intersection],
+    ids=lambda f: f.__name__,
+)
+def test_box_array_readers_reject_bad_arrays(reader):
+    boxes = generate_instance(5, seed=2).coords.T
+    # a (4, k) array is the coordinate rows, not k boxes
+    with pytest.raises(TypeError, match=r"\(k, 4\) float64 box array"):
+        reader(boxes.T)
+    with pytest.raises(TypeError, match=r"\(k, 4\) float64 box array"):
+        reader(np.arange(20).reshape(5, 4))
+    # NaN fails lo < hi, inf fails only the finiteness test, and the last box is flat
+    for column, value in ((0, np.nan), (2, np.inf), (2, boxes[3, 0])):
+        bad = boxes.copy()
+        bad[3, column] = value
+        with pytest.raises(DegenerateRectangleError, match="box 3"):
+            reader(bad)
 
 
 def test_corner_state_lists_each_snapped_corner_once():

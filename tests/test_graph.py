@@ -125,10 +125,22 @@ def test_max_degree_vertex_tie_breaks_low():
     assert g.max_degree_vertex() == 0
 
 
+def _same_graph(g, h):
+    def state(x):
+        return x.raw_adjacency(), x.degree_classes(), x.alive_mask
+
+    return state(g) == state(h)
+
+
 def test_pairwise_matches_brute_force():
+    # the instance and its box array, or a slice of it, give what its rectangles give
+    odd = list(range(1, 60, 2))
     for seed in range(10):
         instance = generate_instance(60, seed=300 + seed)
         g = build_graph(instance.rects)
+        assert _same_graph(g, build_graph(instance)) and _same_graph(g, build_graph(instance.coords.T))
+        sliced = build_graph(instance.coords.take(odd, axis=1).T)
+        assert _same_graph(sliced, build_graph([instance.rects[i] for i in odd]))
         for i in range(instance.n):
             for j in range(i + 1, instance.n):
                 expected = interiors_intersect(instance.rects[i], instance.rects[j])

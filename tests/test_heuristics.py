@@ -96,28 +96,41 @@ STAB_LAYOUTS = {
 }
 
 
+STAB_POINTS = heuristics._stab_points
+
+
 @pytest.mark.parametrize("layout", list(STAB_LAYOUTS))
 def test_only_covers_build_simplicial_stab_boxes(layout, monkeypatch):
     # an independent set places no points, so it never intersects boxes; a
-    # refined cover builds one common box per simplicial round
+    # refined cover places each simplicial round's point at the center of
+    # its neighborhood's common box, as common_intersection gives it
     calls = []
 
-    def counted(rects):
-        calls.append(len(rects))
-        return common_intersection(rects)
+    def recorded(boxes, rounds):
+        calls.append(rounds)
+        return STAB_POINTS(boxes, rounds)
 
-    monkeypatch.setattr(heuristics, "common_intersection", counted)
+    monkeypatch.setattr(heuristics, "_stab_points", recorded)
     instance = STAB_LAYOUTS[layout]()
     for algo in (mis_greedy, mis_i):
         algo(instance)
         assert calls == [], algo.__name__
     result = gcc_i(instance)
-    assert result.theta_count > 0
-    assert len(calls) == result.theta_count
+    (rounds,) = calls
+    kept, _ = filter_dominated(instance)
+    hoods = [(pid, members) for pid, (vertex, members, _) in enumerate(rounds) if vertex is not None]
+    assert len(hoods) == result.theta_count > 0
+    for pid, members in hoods:
+        assert result.points[pid] == common_intersection([instance.rects[kept[v]] for v in members]).center()
 
 
 def test_empty_simplicial_common_box_is_a_typed_error(chain3, monkeypatch):
-    monkeypatch.setattr(heuristics, "common_intersection", lambda rects: None)
+    # the chain's end boxes 0 and 2 are disjoint, so no point stabs them both
+    def bad_peel(instance, simplicial, cliques):
+        kept, removed, boxes, _ = PEEL(instance, simplicial, cliques)
+        return kept, removed, boxes, [(1, [0, 2], None)]
+
+    monkeypatch.setattr(heuristics, "_peel", bad_peel)
     with pytest.raises(UnstabbableOverlapError, match="no common interior"):
         gcc_i(inst_of(chain3))
 
@@ -458,9 +471,10 @@ def _peels(algo, instance, monkeypatch, switch):
     monkeypatch.setattr(heuristics, "_peel", recorded)
     monkeypatch.setattr(heuristics, "CornerDepths", counted)
     result = algo(instance)
-    stuck = any(vertex is None for vertex, _, _ in peels[0][2])
+    kept, removed, _, rounds = peels[0]
+    stuck = any(vertex is None for vertex, _, _ in rounds)
     assert len(builds) == (stuck and switch == 0)
-    return result, peels[0]
+    return result, (kept, removed, rounds)
 
 
 def _same_with_and_without_corners(algo, instance, monkeypatch):

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from rectcover import heuristics
-from rectcover.geometry import generate_instance
+from rectcover.geometry import filter_dominated, generate_instance
 
 from conftest import inst_of
 
@@ -63,6 +63,10 @@ def test_traced_gcc_counts_sweep_and_segment_tree(tracer_module, workloads_modul
     assert heuristics.max_clique_sweep is original
     for key in ("cliques.max_clique_sweep.calls", "segtree.cells", "segtree.add_calls"):
         assert counts[key] > 0, key
+    if workload == "uniform":
+        # the first sweep covers every kept box, counted as boxes, not coordinate rows
+        kept, _ = filter_dominated(case.instance)
+        assert counts["cliques.max_clique_sweep.rects_in"] >= len(kept)
 
 
 @pytest.mark.parametrize("layout", ["uniform", "chain3"])
