@@ -5,8 +5,11 @@ of rectangles is a clique of the intersection graph exactly when all of them
 share a common interior point, so a maximum clique is a deepest point of the
 overlap arrangement and every clique can be stabbed by one point. The sweep
 starts from scratch each call; ``CornerDepths`` keeps the depths of the
-candidate corners across a peel's deletions, read off its live bitset. The
-simplicial search needs only the graph and lives with it in ``graph``.
+candidate corners across a peel's deletions, read off its live bitset. Both
+walk the same top-down edge events (``_edge_events``): the sweep to find
+the deepest cell, the state's build once to list its corners and their
+starting depths. The simplicial search needs only the graph and lives
+with it in ``graph``.
 
 Both engines read their boxes through ``geometry._coord_array``: an
 Instance, a ``(k, 4)`` float64 box array or a sequence of Rectangle. The
@@ -21,7 +24,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .geometry import Point, UnstabbableOverlapError, _coord_array, _small_ufunc_buffer
+from .geometry import Point, UnstabbableOverlapError, _coord_array
 from .graph import bit_indices
 from .segtree import MaxAddSegmentTree
 
@@ -42,6 +45,29 @@ class CliqueWitness:
     @property
     def size(self) -> int:
         return len(self.members)
+
+
+# an edge event is (-y, kind, first cell, end cell) and adds -kind to its
+# cells: tops (+1) sort first at equal y
+TOP, BOTTOM = -1, 1
+
+
+def _edge_events(coords):
+    """The x-cells and the sorted edge events of the boxes ``coords``.
+
+    ``coords`` holds the boxes' ``lx, ly, hx, hy`` arrays. Cell ``c`` is the
+    elementary interval from ``xs[c]`` to ``xs[c + 1]`` of the sorted
+    distinct x-coordinates ``xs``, and a box spans the cells ``[first,
+    end)``. Each box gives a top and a bottom event, sorted by decreasing
+    y, tops first at equal y, then by cell.
+    """
+    lx, ly, hx, hy = coords
+    xs = np.unique(np.concatenate((lx, hx)))
+    first, end = np.searchsorted(xs, lx).tolist(), np.searchsorted(xs, hx).tolist()
+    events = [*zip((-hy).tolist(), repeat(TOP), first, end)]
+    events += zip((-ly).tolist(), repeat(BOTTOM), first, end)
+    events.sort()
+    return xs, events
 
 
 def max_clique_sweep(boxes, *, bound: int | None = None) -> CliqueWitness:
@@ -81,18 +107,10 @@ def max_clique_sweep(boxes, *, bound: int | None = None) -> CliqueWitness:
     elif bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
 
-    xs = np.unique(np.concatenate((lx, hx)))
-    first, end = np.searchsorted(xs, lx).tolist(), np.searchsorted(xs, hx).tolist()
-    xs = xs.tolist()
+    xs, events = _edge_events(coords)
     tree = MaxAddSegmentTree(len(xs) - 1)
     add = tree.add
-
-    # an event is (-y, kind, first cell, end cell) and adds -kind to its
-    # cells: tops (+1) sort first at equal y
-    TOP, BOTTOM = -1, 1
-    events = [*zip((-hy).tolist(), repeat(TOP), first, end)]
-    events += zip((-ly).tolist(), repeat(BOTTOM), first, end)
-    events.sort()
+    xs = xs.tolist()
 
     best_depth = 0
     best_cell = None  # (x0, x1, y0, y1)
@@ -155,36 +173,48 @@ def _inside(a: float, b: float, lows) -> float:
     return b if a in lows else a
 
 
-@_small_ufunc_buffer()
-def _corner_points(bounds):
-    """The distinct corners of the given boxes' pairs, in (-y, x) order.
+def _corners(coords):
+    """The corners of the boxes ``coords`` in (-y, x) order, with their depths.
 
-    ``bounds`` is the ``(lx, ly, hx, hy)`` array tuple of the boxes. Boxes
-    ``a`` and ``b`` give the corner ``(lx[a], hy[b])`` when the cell just
-    right of and below it lies in both: ``lx[b] <= lx[a] < hx[b]`` and
-    ``ly[a] < hy[b] <= hy[a]``. Every box qualifies with itself, and two
-    different boxes qualify only if they overlap.
+    ``coords`` holds the boxes' ``lx, ly, hx, hy`` arrays. Boxes ``a`` and
+    ``b`` give the corner ``(lx[a], hy[b])`` when the cell just right of and
+    below it lies in both: ``lx[b] <= lx[a] < hx[b]`` and ``ly[a] < hy[b] <=
+    hy[a]``. Every box qualifies with itself, and two different boxes
+    qualify only if they overlap. A corner's depth is the number of boxes
+    covering that cell. Returns the corners' x and y arrays, once per point,
+    and their depths.
+
+    One top-down walk of the edge events finds them all. After a batch of
+    equal-y events, the depth array holds the depths of the y-gap below it,
+    and ``starts`` counts the boxes active there by the cell their left edge
+    starts at. So the corners at a batch's y are the cells inside some top
+    edge of the batch where an active box starts, read after the batch's
+    bottoms are applied.
     """
-    lx, ly, hx, hy = bounds
-    xs, ys = [], []
-    block = 256
-    for start in range(0, len(lx), block):
-        a = slice(start, start + block)
-        pair = (
-            (lx[None, :] <= lx[a, None])
-            & (lx[a, None] < hx[None, :])
-            & (ly[a, None] < hy[None, :])
-            & (hy[None, :] <= hy[a, None])
-        )
-        rows, cols = np.nonzero(pair)
-        xs.append(lx[a][rows])
-        ys.append(hy[cols])
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    order = np.lexsort((x, -y))
-    x, y = x[order], y[order]
-    new = np.ones(len(x), dtype=bool)
-    new[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
-    return x[new], y[new]
+    xs, events = _edge_events(coords)
+    depth = np.zeros(len(xs) - 1, dtype=np.int64)
+    starts = np.zeros_like(depth)
+    cells, depths, ys, tops = [], [], [], []
+    # a batch is read when the next one starts; the last batch holds
+    # bottoms alone, as in max_clique_sweep, so it needs no read
+    batch_y = events[0][0]
+    for neg_y, kind, a, b in events:
+        if neg_y != batch_y:
+            if tops:
+                # the top edges of one batch may share cells: keep each once
+                found = [starts[lo:hi].nonzero()[0] + lo for lo, hi in tops]
+                cells.append(found[0] if len(found) == 1 else np.unique(np.concatenate(found)))
+                depths.append(depth[cells[-1]])
+                ys.append(-batch_y)
+                tops = []
+            batch_y = neg_y
+        # a view, not depth[a:b] -= kind: that also writes the view back
+        span = depth[a:b]
+        span -= kind
+        starts[a] -= kind
+        if kind == TOP:
+            tops.append((a, b))
+    return xs[np.concatenate(cells)], np.repeat(ys, [*map(len, cells)]), np.concatenate(depths)
 
 
 class CornerDepths:
@@ -195,7 +225,7 @@ class CornerDepths:
     ``(lo.x[a], hi.y[b])`` for members ``a`` and ``b``, ``a == b`` allowed:
     otherwise the cell to its left or above it would lie in every member
     and come first. So the state lists the corners of every pair of boxes
-    live when it is built (see ``_corner_points``), once per point, in
+    live when it is built (see ``_corners``), once per point, in
     (-y, x) order, with each corner's depth: the number of live boxes that
     cover the cell just right of and below it, that is whose ``lo.x <= x <
     hi.x`` and ``lo.y < y <= hi.y``. Only the corners in a box's y-slice of
@@ -211,9 +241,10 @@ class CornerDepths:
     top-left corner, and ``max_clique`` returns the witness
     ``max_clique_sweep`` returns over the live boxes.
 
-    Building costs one pairwise test of the live boxes in numpy blocks, as
-    many as k + 2E corners for k live boxes with E overlapping pairs, and
-    one slice per box for the starting depths.
+    Building walks the live boxes' 2k edge events once, as a full
+    ``max_clique_sweep`` does, and reads the corners and their starting
+    depths off its depth array: as many as k + 2E corners for k live boxes
+    with E overlapping pairs.
     """
 
     def __init__(self, boxes, alive=None):
@@ -226,13 +257,10 @@ class CornerDepths:
         self._coords = lx, ly, hx, hy = _coord_array(boxes)
         self._alive = (1 << len(lx)) - 1
         ids = self._take(self._alive if alive is None else alive)
-        self._x, self._y = _corner_points(tuple(a[ids] for a in self._coords))
+        self._x, self._y, self._depth = _corners(self._coords[:, ids])
         # per box: its y-slice [y0, y1) of the corners and its x-bounds
         y0, y1 = np.searchsorted(-self._y, -hy), np.searchsorted(-self._y, -ly)
         self._slices = list(zip(y0.tolist(), y1.tolist(), lx.tolist(), hx.tolist()))
-        self._depth = np.zeros(len(self._x), dtype=np.int64)
-        for v in ids.tolist():
-            self._shift(v, 1)
 
     def _take(self, alive: int):
         """Check ``alive`` as ``max_clique`` does, keep it and return its ids."""

@@ -64,7 +64,7 @@ class UnstabbableOverlapError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A point in the plane. Coordinates must be finite."""
 
@@ -76,7 +76,7 @@ class Point:
             raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rectangle:
     """Closed axis-parallel box with strictly positive width and height.
 

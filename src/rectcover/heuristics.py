@@ -66,18 +66,19 @@ class IndependentSetResult:
         return len(self.members)
 
 
-# A CornerDepths build lists at most k + 2E corners for k boxes with E
-# overlapping pairs, and costs far less per corner than a sweep costs per
-# edge event. Over the seed-1002 benchmark set-up gcc instances (full kept
-# sets, best of 3, shared 2-core x86-64 VM, numpy 2.4.6) a build took
-# 0.53-0.65 us per unit of k + 2E on uniform, 1.4-1.9 on 250 squares and
-# 0.20-0.24 on clustered, and a sweep 3.9-5.0, 2.7-3.7 and 3.9-4.5 us per
-# edge event: the build is worth 0.13, 0.5 and 0.05 of k + 2E edge events.
-# Sweeping until the sweeps have built this multiple of k + 2E edge events
-# buys the state only in peels with many stuck rounds, as rent-or-buy does;
-# the price sits a little above uniform's to pay for the deletions the state
-# takes at each later stuck round too. A clustered gcc peel sweeps 0.06-0.07
-# of k + 2E in all, so it never buys. Tests set it to 0 and inf.
+# A CornerDepths build walks the 2k edge events of its k boxes once and
+# lists at most k + 2E corners, for E overlapping pairs. Over the seed-1002
+# benchmark set-up gcc instances (full kept sets, best of 3, two processes,
+# shared 2-core x86-64 VM, numpy 2.4.6) a build took 0.33-0.50 us per unit
+# of k + 2E on uniform, 1.65-1.92 on 250 squares and 0.10-0.13 on
+# clustered, and a full sweep 3.05-3.82, 2.98-3.33 and 3.03-3.27 us per
+# edge event in the same runs: the build is worth 0.10-0.14, 0.53-0.61 and
+# 0.03-0.04 of k + 2E edge events. Sweeping until the sweeps have built
+# this multiple of k + 2E edge events buys the state only in peels with
+# many stuck rounds, as rent-or-buy does; the price sits a little above
+# uniform's to pay for the deletions the state takes at each later stuck
+# round too. A clustered gcc peel sweeps 0.06-0.07 of k + 2E in all, so it
+# never buys. Tests set it to 0 and inf.
 _CORNER_SWITCH = 0.2
 
 
@@ -102,10 +103,11 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
     every later clique from it; the state reads the graph's live bitset and
     takes the deletions since the last stuck round then. Both give the
     same witness, so the switch changes no round. ``_CORNER_SWITCH`` is
-    0.2, the state's measured price: a build costs as much as 0.13 of k + 2E
-    sweep events on uniform kept sets, 0.05 on clustered and 0.5 on 250
-    squares. So the benchmark's uniform peels switch after three to five
-    sweeps, and its clustered peels never do.
+    0.2, a little above the state's measured price: a build costs as much
+    as 0.10-0.14 of k + 2E sweep events on uniform kept sets, 0.03-0.04 on
+    clustered and 0.53-0.61 on 250 squares. So the benchmark's uniform
+    peels switch after three to five sweeps, and its clustered peels never
+    do.
 
     A sweep's ``bound`` is the live graph's maximum degree plus one, or the
     size of the last stuck step's clique if that is less. Live sets only

@@ -221,6 +221,23 @@ def first_kept_inside(rects) -> tuple[list[int], list[tuple[int, int]]]:
     return kept, removed
 
 
+def _indices(values, count: int):
+    """``values`` as an index array, or None if one lies outside ``range(count)``.
+
+    An empty sequence is valid.
+
+    Raises:
+        TypeError: if ``values`` is not a flat sequence of integers; a bool
+            is not one.
+    """
+    idx = np.asarray(values)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise TypeError(f"expected a flat sequence of integer indices, got {idx.dtype} of shape {idx.shape}")
+    if not ((idx >= 0) & (idx < count)).all():
+        return None
+    return idx.astype(np.intp, copy=False)
+
+
 def verify_cover(rects, points, assignment=None) -> bool:
     """True if every rectangle's open interior contains at least one point.
 
@@ -232,8 +249,8 @@ def verify_cover(rects, points, assignment=None) -> bool:
     tested in numpy blocks of rows, each row against every point.
 
     Raises:
-        TypeError: if ``assignment`` holds anything but integers, or as
-            ``_coord_array`` raises it.
+        TypeError: if ``assignment`` is not a flat sequence of integers
+            (a bool is not one), or as ``_coord_array`` raises it.
         DegenerateRectangleError: as ``_coord_array`` raises it.
     """
     lx, ly, hx, hy = _coord_array(rects)
@@ -245,11 +262,8 @@ def verify_cover(rects, points, assignment=None) -> bool:
         ks = np.asarray(assignment)
         if ks.shape != (n,):
             return False
-        if not n:
-            return True
-        if ks.dtype.kind not in "iu":
-            raise TypeError(f"assignment must hold integer point indices, got {ks.dtype}")
-        if not ((ks >= 0) & (ks < len(pts))).all():
+        ks = _indices(ks, len(pts))
+        if ks is None:
             return False
         px, py = px[ks], py[ks]
         return bool(((lx < px) & (px < hx) & (ly < py) & (py < hy)).all())
@@ -277,13 +291,17 @@ def verify_independent(rects, members) -> bool:
     invalid, and so does a repeated index: a box's interior meets itself.
     The pairs are tested in numpy blocks of rows, each row against the
     members after it.
+
+    Raises:
+        TypeError: if ``members`` is not a flat sequence of integers (a
+            bool is not one), or as ``_coord_array`` raises it.
+        DegenerateRectangleError: as ``_coord_array`` raises it.
     """
     coords = _coord_array(rects)
-    ms = list(members)
-    if not all(0 <= m < coords.shape[1] for m in ms):
+    ms = _indices(list(members), coords.shape[1])
+    if ms is None:
         return False
-    idx = np.array(ms, dtype=np.intp)
-    lx, ly, hx, hy = (a[idx] for a in coords)
+    lx, ly, hx, hy = (a[ms] for a in coords)
     block = 1024
     for start in range(0, len(ms), block):
         rows = slice(start, start + block)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rectcover.cliques import CliqueWitness, CornerDepths, max_clique_sweep
-from rectcover.geometry import Instance, Point, Rectangle, Region, UnstabbableOverlapError
+from rectcover.geometry import Instance, Point, Rectangle, Region, UnstabbableOverlapError, generate_instance
 from rectcover.graph import bit_indices, build_graph, find_simplicial
 from rectcover.oracles import simplicial_scan
 
@@ -79,6 +79,51 @@ def nested_clusters(n, centres, seed):
         cx, cy = points[rng.randrange(centres)]
         out.append(mk(cx - reach(), cy - reach(), cx + reach(), cy + reach()))
     return out
+
+
+def dense_frame(m, seed):
+    """Four groups of ``m`` equal bars, each bar a shifted copy of one side of
+    a picture frame: top, bottom, left or right, as in ``frame4``.
+
+    A bar moves by up to 0.2 on each axis, less than its thickness of 1
+    and than the 0.5 it reaches past the bars it crosses. So the bars of a
+    group all overlap, and each group crosses both neighbouring groups at
+    the frame's corners, where each pair of neighbouring groups shares a
+    common box; opposite groups are disjoint. Equal bars contain no other
+    bar, and a horizontal bar is wider and a vertical bar taller than any
+    bar of the other direction, so nothing is dominated. E = 6m² - 2m.
+    """
+    rng = random.Random(seed)
+    sides = [(0, 2, 3, 3), (0, 0, 3, 1), (-0.5, -0.5, 0.5, 3.5), (2.5, -0.5, 3.5, 3.5)]
+    out = []
+    for x1, y1, x2, y2 in sides:
+        for _ in range(m):
+            dx, dy = rng.uniform(0, 0.2), rng.uniform(0, 0.2)
+            out.append(mk(x1 + dx, y1 + dy, x2 + dx, y2 + dy))
+    return out
+
+
+FAMILIES = ["uniform", "squares", "snapped", "nested", "bars", "frame"]
+
+
+def family_instance(family, n, seed):
+    """An instance of one of ``FAMILIES``, of about ``n`` boxes for ``seed``.
+
+    Bars and frames take their group size from ``n``, so they hold at most
+    40 and 60 boxes.
+    """
+    if family == "uniform":
+        return generate_instance(n, seed=seed)
+    if family == "squares":
+        return inst_of(equal_squares(n, seed))
+    if family == "snapped":
+        # shared coordinates and touching edges on a grid of 2 to 12 steps
+        return inst_of(snapped_boxes(random.Random(seed), n, 2 + seed % 11))
+    if family == "nested":
+        return inst_of(nested_clusters(n, 1 + seed % 6, seed))
+    if family == "frame":
+        return inst_of(dense_frame(1 + n % 15, seed))
+    return inst_of(crossing_bars(1 + n % 20))
 
 
 def check_remembered_search(rects, seed):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectcover import heuristics
 from rectcover.cliques import CliqueWitness, CornerDepths, max_clique_sweep
@@ -13,10 +15,13 @@ from rectcover.oracles import exact_mcc, max_clique_candidates, simplicial_scan,
 from rectcover.segtree import MaxAddSegmentTree
 
 from conftest import (
+    FAMILIES,
     check_corner_state_follows_sweeps,
     check_remembered_search,
     crossing_bars,
+    dense_frame,
     equal_squares,
+    family_instance,
     inst_of,
     mk,
     nested_clusters,
@@ -254,6 +259,30 @@ def test_corner_state_lists_each_snapped_corner_once():
         check_corner_state_follows_sweeps(rects, rng)
 
 
+def _corners_by_definition(rects):
+    """Every corner of a pair of ``rects``, once, in (-y, x) order, and the
+    number of ``rects`` covering the cell just right of and below each."""
+    corners = sorted(
+        {(a.lo.x, b.hi.y) for a in rects for b in rects if b.lo.x <= a.lo.x < b.hi.x and a.lo.y < b.hi.y <= a.hi.y},
+        key=lambda p: (-p[1], p[0]),
+    )
+    depths = [sum(r.lo.x <= x < r.hi.x and r.lo.y < y <= r.hi.y for r in rects) for x, y in corners]
+    return corners, depths
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(1, 60), st.integers(0, 2**32))
+def test_corner_state_lists_the_defined_corners(family, n, seed):
+    # on every family, for all boxes live and for a random part of them
+    rects = family_instance(family, n, seed).rects
+    rng = random.Random(seed)
+    for live in (range(len(rects)), sorted(rng.sample(range(len(rects)), rng.randint(1, len(rects))))):
+        state = CornerDepths(rects, sum(1 << v for v in live))
+        corners, depths = _corners_by_definition([rects[v] for v in live])
+        assert list(zip(state._x.tolist(), state._y.tolist())) == corners
+        assert state._depth.tolist() == depths
+
+
 # ------------------------------------ simplicial search (graph.find_simplicial)
 
 
@@ -459,3 +488,21 @@ def test_sweep_work_pinned(family, algo, monkeypatch):
     algo(_search_work_instance(family))
     assert len(switch) <= 1
     assert (*work, switch[0] if switch else None) == SWEEP_WORK[family, algo]
+
+
+def test_dense_frame_gcc_sweeps_without_the_state(monkeypatch):
+    # each round deletes two crossing groups of 60 bars, so the two sweeps
+    # build 480 + 240 events, far below 0.2 (k + 2E) = 8640: no state is built
+    sweeps = []
+
+    def counted_sweep(rects, **kwargs):
+        sweeps.append(len(rects))
+        return max_clique_sweep(rects, **kwargs)
+
+    def refused_build(rects, alive):
+        pytest.fail("the corner state was built")
+
+    monkeypatch.setattr(heuristics, "max_clique_sweep", counted_sweep)
+    monkeypatch.setattr(heuristics, "CornerDepths", refused_build)
+    assert gcc(inst_of(dense_frame(60, 0))).size == 2
+    assert sweeps == [240, 120]

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import random
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from rectcover.graph import build_graph
 from rectcover.heuristics import CoverResult, gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import exact_mcc, exact_mis, verify_cover, verify_independent
 
-from conftest import crossing_bars, equal_squares, inst_of, mk, nested_clusters, snapped_boxes
+from conftest import FAMILIES, crossing_bars, equal_squares, family_instance, inst_of, mk, nested_clusters
 
 
 # ------------------------------------------------------------ cover: plain
@@ -487,22 +486,9 @@ def _same_with_and_without_corners(algo, instance, monkeypatch):
     assert _peels(algo, instance, monkeypatch, 0.0) == swept
 
 
-def _family_instance(family, n, seed):
-    if family == "uniform":
-        return generate_instance(n, seed=seed)
-    if family == "squares":
-        return inst_of(equal_squares(n, seed))
-    if family == "snapped":
-        # shared coordinates and touching edges on a grid of 2 to 12 steps
-        return inst_of(snapped_boxes(random.Random(seed), n, 2 + seed % 11))
-    if family == "nested":
-        return inst_of(nested_clusters(n, 1 + seed % 6, seed))
-    return inst_of(crossing_bars(1 + n % 20))
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["uniform", "squares", "snapped", "nested", "bars"]),
+    st.sampled_from(FAMILIES),
     st.integers(1, 90),
     st.integers(0, 2**32),
 )
@@ -510,7 +496,7 @@ def test_corner_state_keeps_every_round(family, n, seed):
     # hypothesis runs every example in one test call, so the switch is set
     # and restored by hand instead of by a function-scoped fixture
     with pytest.MonkeyPatch.context() as monkeypatch:
-        instance = _family_instance(family, n, seed)
+        instance = family_instance(family, n, seed)
         for algo in CLIQUE_HEURISTICS:
             _same_with_and_without_corners(algo, instance, monkeypatch)
 

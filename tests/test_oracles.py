@@ -18,6 +18,7 @@ from rectcover.geometry import (
     interiors_intersect,
 )
 from rectcover.graph import build_graph
+from rectcover.heuristics import gcc, mis_greedy
 from rectcover.oracles import (
     OracleSizeError,
     exact_mcc,
@@ -339,6 +340,22 @@ def test_verify_independent_rejects_out_of_range_members():
         assert not verify_independent(boxes, [0, 7])
         assert not verify_independent(boxes, [0, 0])
         assert verify_independent(boxes, [])
+
+
+def test_verifiers_take_integer_indices_only():
+    # a float member must not truncate to a box id, nor a bool pass as 0 or
+    # 1; both verifiers check indices the same way, and an empty list is valid
+    instance = generate_instance(30, seed=1)
+    members = mis_greedy(instance).members
+    assert verify_independent(instance, members) and verify_independent(instance, [])
+    for bad in ([v + 0.5 for v in members], [True], [False, True], [[0, 1]]):
+        with pytest.raises(TypeError, match="integer indices"):
+            verify_independent(instance, bad)
+    cover = gcc(instance)
+    assert verify_cover(instance, cover.points, cover.assignment)
+    for bad in ([k + 0.5 for k in cover.assignment], [k == 0 for k in cover.assignment]):
+        with pytest.raises(TypeError, match="integer indices"):
+            verify_cover(instance, cover.points, bad)
 
 
 def test_verify_independent_rejects_repeated_members():
