@@ -66,22 +66,6 @@ class IndependentSetResult:
         return len(self.members)
 
 
-# A CornerDepths build walks the 2k edge events of its k boxes once and
-# lists at most k + 2E corners, for E overlapping pairs. Over the seed-1002
-# benchmark set-up gcc instances (full kept sets, best of 3, two processes,
-# shared 2-core x86-64 VM, numpy 2.4.6) a build took 0.33-0.50 us per unit
-# of k + 2E on uniform, 1.65-1.92 on 250 squares and 0.10-0.13 on
-# clustered, and a full sweep 3.05-3.82, 2.98-3.33 and 3.03-3.27 us per
-# edge event in the same runs: the build is worth 0.10-0.14, 0.53-0.61 and
-# 0.03-0.04 of k + 2E edge events. Sweeping until the sweeps have built
-# this multiple of k + 2E edge events buys the state only in peels with
-# many stuck rounds, as rent-or-buy does; the price sits a little above
-# uniform's to pay for the deletions the state takes at each later stuck
-# round too. A clustered gcc peel sweeps 0.06-0.07 of k + 2E in all, so it
-# never buys. Tests set it to 0 and inf.
-_CORNER_SWITCH = 0.2
-
-
 def _peel(instance: Instance, simplicial: bool, cliques: bool):
     """Peel the kept rectangles' graph; one ``(vertex, members, stab)`` per round.
 
@@ -97,17 +81,14 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
     row slices, and no ``Rectangle``.
 
     A maximum clique comes from ``max_clique_sweep`` over the live
-    rectangles. A sweep builds and sorts two edge events per rectangle;
-    once the sweeps have built ``_CORNER_SWITCH * (k + 2E)`` of them, the
-    loop builds a ``CornerDepths`` state over the live rectangles and takes
-    every later clique from it; the state reads the graph's live bitset and
-    takes the deletions since the last stuck round then. Both give the
-    same witness, so the switch changes no round. ``_CORNER_SWITCH`` is
-    0.2, a little above the state's measured price: a build costs as much
-    as 0.10-0.14 of k + 2E sweep events on uniform kept sets, 0.03-0.04 on
-    clustered and 0.53-0.61 on 250 squares. So the benchmark's uniform
-    peels switch after three to five sweeps, and its clustered peels never
-    do.
+    rectangles until a sweep's clique falls short of its ``bound``. Such a
+    sweep never stopped early: it walked all its edge events, and a
+    ``CornerDepths`` build walks the same events once. So the next stuck
+    round builds the state over the live rectangles and takes every later
+    clique from it; the state reads the graph's live bitset and takes the
+    deletions since the last stuck round then. Both give the same witness,
+    so the switch changes no round. A peel whose sweeps all reach their
+    bound keeps sweeping.
 
     A sweep's ``bound`` is the live graph's maximum degree plus one, or the
     size of the last stuck step's clique if that is less. Live sets only
@@ -119,9 +100,8 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
     graph = build_graph(boxes)
     rounds = []
     last = graph.n
-    budget = _CORNER_SWITCH * (graph.n + 2 * graph.edge_count())
-    swept = 0
     corners = None
+    walked = False
     while graph.n:
         vertex = find_simplicial(graph) if simplicial else None
         if vertex is not None:
@@ -129,7 +109,7 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
         elif not cliques:
             step = (None, (graph.max_degree_vertex(),), None)
         else:
-            if corners is None and swept >= budget:
+            if corners is None and walked:
                 corners = CornerDepths(boxes, graph.alive_mask)
             if corners is not None:
                 witness = corners.max_clique(graph.alive_mask)
@@ -138,7 +118,7 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
                 vs = graph.vertices()
                 bound = min(last, len(graph.degree_classes()))
                 witness = max_clique_sweep(boxes[vs], bound=bound)
-                swept += 2 * len(vs)
+                walked = witness.size < bound
                 members = tuple(vs[local] for local in witness.members)
             step = (None, members, witness.stab)
             last = len(members)

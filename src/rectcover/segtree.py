@@ -39,7 +39,9 @@ class MaxAddSegmentTree:
         """Add ``delta`` to every cell in the half-open range [lo, hi)."""
         if not (0 <= lo < hi <= len(self._d)):
             raise ValueError(f"bad range [{lo}, {hi}) for size {len(self._d)}")
-        self._d[lo:hi] += delta
+        # a view, not self._d[lo:hi] += delta: that also writes the view back
+        d = self._d[lo:hi]
+        d += delta
 
     def peek_max(self) -> tuple[int, int]:
         """Return (maximum value, leftmost cell index attaining it)."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rectcover.cliques import CliqueWitness, CornerDepths, max_clique_sweep
-from rectcover.geometry import Instance, Point, Rectangle, Region, UnstabbableOverlapError, generate_instance
+from rectcover.geometry import Instance, Point, Rectangle, Region, UnstabbableOverlapError, _coord_array, generate_instance
 from rectcover.graph import bit_indices, build_graph, find_simplicial
 from rectcover.oracles import simplicial_scan
 
@@ -165,19 +165,31 @@ def _witness_or_error(fn, *args):
         return UnstabbableOverlapError
 
 
+class SweepOnlyDepths:
+    """A stand-in for ``CornerDepths`` that takes each maximum clique from a
+    full, unbounded sweep over the live boxes, with the sweep's local
+    indices mapped back to box ids."""
+
+    def __init__(self, boxes, alive=None):
+        self._coords = _coord_array(boxes)
+
+    def max_clique(self, alive):
+        live = bit_indices(alive)
+        witness = max_clique_sweep(self._coords[:, live].T)
+        return CliqueWitness(tuple(live[i] for i in witness.members), witness.stab)
+
+
 def check_corner_state_follows_sweeps(rects, rng):
     """Delete ``rects`` in batches of 1 to 3 drawn by ``rng``, one to three
     batches between queries; at every query the corner state's maximum
-    clique of the live bitset must be the sweep's over the live boxes, with
-    the sweep's local indices mapped back to ``rects``, and the state must
-    raise ``UnstabbableOverlapError`` exactly where the sweep does."""
-    state = CornerDepths(rects)
+    clique of the live bitset must be the sweep's over the live boxes, as
+    ``SweepOnlyDepths`` gives it, and the state must raise
+    ``UnstabbableOverlapError`` exactly where the sweep does."""
+    state, swept = CornerDepths(rects), SweepOnlyDepths(rects)
     live = list(range(len(rects)))
     while live:
-        sweep = _witness_or_error(max_clique_sweep, [rects[v] for v in live])
-        if sweep is not UnstabbableOverlapError:
-            sweep = CliqueWitness(tuple(live[i] for i in sweep.members), sweep.stab)
-        assert _witness_or_error(state.max_clique, sum(1 << v for v in live)) == sweep, live
+        alive = sum(1 << v for v in live)
+        assert _witness_or_error(state.max_clique, alive) == _witness_or_error(swept.max_clique, alive), live
         for _ in range(rng.randint(1, 3)):
             batch = rng.sample(live, min(len(live), rng.randint(1, 3)))
             live = [v for v in live if v not in batch]

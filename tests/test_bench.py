@@ -153,9 +153,8 @@ def test_verify_random_checks_the_corner_state_after_deletions(monkeypatch):
     # a corner state that never lowers a depth is right on the whole
     # instance and goes wrong once the oracle's first clique is deleted
     class Stale(bench.CornerDepths):
-        def _shift(self, v, delta):
-            if delta > 0:
-                super()._shift(v, delta)
+        def _lower(self, v):
+            pass
 
     monkeypatch.setattr(bench, "CornerDepths", Stale)
     violations = verify_random(2, 11, base_seed=2)

@@ -438,20 +438,21 @@ def test_bounded_sweeps_match_full_sweeps_in_peels(family, algo, monkeypatch):
 # Sweeps made, MaxAddSegmentTree.add calls and the round that builds the
 # corner state (None if no round does) in whole peels. The sweep reads
 # depths only after a batch with a top edge and stops at the first cell as
-# deep as its bound. Every gcc round is stuck, so there the state is built
-# in the round after the last sweep; the peels of gcc_i and mis_i build it
-# in a later stuck round, or never.
+# deep as its bound. A sweep whose clique falls short of its bound walked
+# all its events, and the next stuck round builds the state: every gcc
+# round is stuck, so there it is built in round 1; the peels of gcc_i and
+# mis_i build it in a later stuck round, or never.
 SWEEP_WORK = {
-    ("uniform", gcc): (2, 414, 2),
-    ("uniform", gcc_i): (2, 342, 18),
-    ("uniform", mis_i): (2, 342, 18),
-    ("squares", gcc): (3, 910, 3),
-    ("squares", gcc_i): (3, 850, 6),
-    ("squares", mis_i): (3, 850, 6),
-    ("bars", gcc): (2, 60, 2),
-    ("bars", gcc_i): (2, 60, 2),
-    ("bars", mis_i): (2, 60, 2),
-    ("clusters", gcc): (3, 612, 3),
+    ("uniform", gcc): (1, 238, 1),
+    ("uniform", gcc_i): (1, 192, 14),
+    ("uniform", mis_i): (1, 192, 14),
+    ("squares", gcc): (1, 400, 1),
+    ("squares", gcc_i): (1, 382, 2),
+    ("squares", mis_i): (1, 382, 2),
+    ("bars", gcc): (1, 48, 1),
+    ("bars", gcc_i): (1, 48, 1),
+    ("bars", mis_i): (1, 48, 1),
+    ("clusters", gcc): (1, 244, 1),
     ("clusters", gcc_i): (1, 50, None),
     ("clusters", mis_i): (1, 50, None),
 }
@@ -490,19 +491,47 @@ def test_sweep_work_pinned(family, algo, monkeypatch):
     assert (*work, switch[0] if switch else None) == SWEEP_WORK[family, algo]
 
 
-def test_dense_frame_gcc_sweeps_without_the_state(monkeypatch):
-    # each round deletes two crossing groups of 60 bars, so the two sweeps
-    # build 480 + 240 events, far below 0.2 (k + 2E) = 8640: no state is built
-    sweeps = []
+def _gcc_sweeps_and_builds(rects, monkeypatch):
+    """gcc's size on ``rects``, its sweeps' (boxes, bound, clique size) and
+    the live boxes of each corner state it builds."""
+    sweeps, builds = [], []
 
-    def counted_sweep(rects, **kwargs):
-        sweeps.append(len(rects))
-        return max_clique_sweep(rects, **kwargs)
+    def counted_sweep(boxes, *, bound):
+        witness = max_clique_sweep(boxes, bound=bound)
+        sweeps.append((len(boxes), bound, witness.size))
+        return witness
 
-    def refused_build(rects, alive):
-        pytest.fail("the corner state was built")
+    def counted_build(boxes, alive):
+        builds.append(alive.bit_count())
+        return CornerDepths(boxes, alive)
 
     monkeypatch.setattr(heuristics, "max_clique_sweep", counted_sweep)
-    monkeypatch.setattr(heuristics, "CornerDepths", refused_build)
-    assert gcc(inst_of(dense_frame(60, 0))).size == 2
-    assert sweeps == [240, 120]
+    monkeypatch.setattr(heuristics, "CornerDepths", counted_build)
+    return gcc(inst_of(rects)).size, sweeps, builds
+
+
+def test_dense_frame_gcc_builds_the_state_after_one_sweep(monkeypatch):
+    # round one deletes two crossing groups of 60 bars; its clique of 120
+    # falls short of the bound 180 (a bar's degree 179, plus one), so the
+    # sweep walked all 480 events and round two takes its clique from a
+    # state built over the 120 live bars
+    size, sweeps, builds = _gcc_sweeps_and_builds(dense_frame(60, 0), monkeypatch)
+    assert size == 2
+    assert sweeps == [(240, 180, 120)]
+    assert builds == [120]
+
+
+def test_gcc_keeps_sweeping_while_sweeps_reach_their_bound(monkeypatch):
+    # disjoint groups of 8, 7, 6, 5, 4 and 3 equal squares, each shifted
+    # 0.1 along the diagonal from the last, so none is dominated; each
+    # group is a clique, so every sweep stops at its bound, the size of the
+    # largest group left, and no state is built
+    rects = [
+        mk(10 * g + 0.1 * i, 0.1 * i, 10 * g + 0.1 * i + 1, 0.1 * i + 1)
+        for g, m in enumerate([8, 7, 6, 5, 4, 3])
+        for i in range(m)
+    ]
+    size, sweeps, builds = _gcc_sweeps_and_builds(rects, monkeypatch)
+    assert size == 6
+    assert sweeps == [(33, 8, 8), (25, 7, 7), (18, 6, 6), (12, 5, 5), (7, 4, 4), (3, 3, 3)]
+    assert builds == []

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,7 +21,17 @@ from rectcover.graph import build_graph
 from rectcover.heuristics import CoverResult, gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import exact_mcc, exact_mis, verify_cover, verify_independent
 
-from conftest import FAMILIES, crossing_bars, equal_squares, family_instance, inst_of, mk, nested_clusters
+from conftest import (
+    FAMILIES,
+    SweepOnlyDepths,
+    check_corner_state_follows_sweeps,
+    crossing_bars,
+    equal_squares,
+    family_instance,
+    inst_of,
+    mk,
+    nested_clusters,
+)
 
 
 # ------------------------------------------------------------ cover: plain
@@ -444,7 +455,7 @@ def test_overlaps_two_ulps_wide_solve(algo, rects):
     _check_valid(algo, inst_of(rects))
 
 
-# ------------------------------------------------------ corner-state switch
+# ------------------------------------------------------ corner state in peels
 
 CLIQUE_HEURISTICS = [gcc, gcc_i, mis_i]
 
@@ -452,38 +463,36 @@ CLIQUE_HEURISTICS = [gcc, gcc_i, mis_i]
 PEEL, CORNER_DEPTHS = heuristics._peel, heuristics.CornerDepths
 
 
-def _peels(algo, instance, monkeypatch, switch):
-    """``algo``'s result and its peel's rounds with ``_CORNER_SWITCH`` set to
-    ``switch``: 0 builds the corner state in the first stuck round, inf never."""
-    peels = []
+def _peels(algo, instance, monkeypatch):
+    """Run ``algo`` as it is and with ``SweepOnlyDepths`` for the corner
+    state, so that every clique comes from a sweep; both must give the same
+    result and rounds, or both raise ``UnstabbableOverlapError``. Returns
+    the number of states the default peel built, at most one."""
     builds = []
-
-    def recorded(*args):
-        peels.append(PEEL(*args))
-        return peels[-1]
 
     def counted(*args):
         builds.append(args)
         return CORNER_DEPTHS(*args)
 
-    monkeypatch.setattr(heuristics, "_CORNER_SWITCH", switch)
-    monkeypatch.setattr(heuristics, "_peel", recorded)
-    monkeypatch.setattr(heuristics, "CornerDepths", counted)
-    result = algo(instance)
-    kept, removed, _, rounds = peels[0]
-    stuck = any(vertex is None for vertex, _, _ in rounds)
-    assert len(builds) == (stuck and switch == 0)
-    return result, (kept, removed, rounds)
+    def run(depths):
+        peels = []
 
+        def recorded(*args):
+            peels.append(PEEL(*args))
+            return peels[-1]
 
-def _same_with_and_without_corners(algo, instance, monkeypatch):
-    try:
-        swept = _peels(algo, instance, monkeypatch, math.inf)
-    except UnstabbableOverlapError:
-        with pytest.raises(UnstabbableOverlapError):
-            _peels(algo, instance, monkeypatch, 0.0)
-        return
-    assert _peels(algo, instance, monkeypatch, 0.0) == swept
+        monkeypatch.setattr(heuristics, "_peel", recorded)
+        monkeypatch.setattr(heuristics, "CornerDepths", depths)
+        try:
+            result = algo(instance)
+        except UnstabbableOverlapError:
+            return UnstabbableOverlapError
+        kept, removed, _, rounds = peels[0]
+        return result, (kept, removed, rounds)
+
+    assert run(counted) == run(SweepOnlyDepths)
+    assert len(builds) <= 1
+    return len(builds)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -493,12 +502,30 @@ def _same_with_and_without_corners(algo, instance, monkeypatch):
     st.integers(0, 2**32),
 )
 def test_corner_state_keeps_every_round(family, n, seed):
-    # hypothesis runs every example in one test call, so the switch is set
-    # and restored by hand instead of by a function-scoped fixture
+    # hypothesis runs every example in one test call, so the stand-ins are
+    # set and restored by hand instead of by a function-scoped fixture
     with pytest.MonkeyPatch.context() as monkeypatch:
         instance = family_instance(family, n, seed)
         for algo in CLIQUE_HEURISTICS:
-            _same_with_and_without_corners(algo, instance, monkeypatch)
+            _peels(algo, instance, monkeypatch)
+
+
+# (n, seed) of one instance per family whose default gcc peel builds the
+# corner state and takes later cliques from it, so the state is reached on
+# every family the property test above draws from
+STATE_CASES = {
+    "uniform": (40, 0),
+    "squares": (40, 0),
+    "snapped": (40, 2),
+    "nested": (40, 5),
+    "bars": (7, 0),
+    "frame": (5, 0),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gcc_reaches_the_corner_state_on_every_family(family, monkeypatch):
+    assert _peels(gcc, family_instance(family, *STATE_CASES[family]), monkeypatch) == 1
 
 
 ONE_ULP_CASES = {
@@ -507,10 +534,24 @@ ONE_ULP_CASES = {
 }
 
 
+# seeds for check_corner_state_follows_sweeps whose deletions, on two
+# boxes, take one box first and query the other alone
+DELETION_ORDERS = {"box-0-first": 2, "box-1-first": 18}
+
+
 @pytest.mark.parametrize("algo", CLIQUE_HEURISTICS)
 @pytest.mark.parametrize("rects", list(ONE_ULP_CASES.values()), ids=list(ONE_ULP_CASES))
 def test_one_ulp_cases_through_the_corner_state(algo, rects, monkeypatch):
     # the sweep path raises on the unstabbable cases and solves the others
-    # (the tests above), so the state path must too
-    _same_with_and_without_corners(algo, inst_of(rects), monkeypatch)
+    # (the tests above), so the default peel must do the same as its
+    # sweep-only run
+    _peels(algo, inst_of(rects), monkeypatch)
 
+
+@pytest.mark.parametrize("seed", list(DELETION_ORDERS.values()), ids=list(DELETION_ORDERS))
+@pytest.mark.parametrize("rects", list(ONE_ULP_CASES.values()), ids=list(ONE_ULP_CASES))
+def test_one_ulp_cases_in_the_corner_state_engine(rects, seed):
+    # a peel of two boxes takes its cliques from sweeps, so the state meets
+    # these cases at the engine level: it must raise on the unstabbable ones
+    # and solve the others as the sweep does
+    check_corner_state_follows_sweeps(rects, random.Random(seed))

@@ -99,9 +99,10 @@ def test_traced_searches_count_hits_and_work(tracer_module, workloads_module, wo
 
 
 # The clique solves of instance 0 of seed 1002 that build the corner state.
-# Its price is set so that uniform solves switch to it; the 800-square
-# gcc-i/mis-i and the clustered solves must keep sweeping every stuck round.
-CORNER_BUILDS = {"uniform": {"gcc", "gcc-i", "mis-i"}, "squares": {"gcc"}, "clustered": set()}
+# A peel builds it after its first sweep whose clique falls short of the
+# bound: on uniform and squares the first sweep does; on clustered every
+# gcc sweep reaches its bound and the gcc-i/mis-i peels never sweep.
+CORNER_BUILDS = {"uniform": {"gcc", "gcc-i", "mis-i"}, "squares": {"gcc", "gcc-i", "mis-i"}, "clustered": set()}
 
 
 @pytest.mark.parametrize("workload", list(CORNER_BUILDS))
