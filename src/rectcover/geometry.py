@@ -6,6 +6,8 @@ point, so boxes that merely touch along an edge or corner do not intersect.
 Containment, by contrast, uses the closed boxes.
 
 An ``Instance`` stores its coordinates once, as a read-only ``(4, n)`` array.
+``generate_instance`` draws straight into that array and makes no
+``Rectangle``; such an instance builds its ``rects`` on their first read.
 ``_coord_array`` is the one reader of box coordinates: it returns that
 array for an Instance, checks and transposes a ``(k, 4)`` box array (one row
 ``lo.x, lo.y, hi.x, hi.y`` per box, as ``instance.coords.T`` gives), and
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -130,37 +133,82 @@ class Region:
 UNIT_SQUARE = Region(0.0, 1.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """An ordered collection of rectangles plus its generation metadata.
 
-    The tuple order is the canonical index space used by every result.
+    The rectangle order is the canonical index space used by every result.
     ``seed`` is None for instances parsed from files, which carry no seed.
-    ``coords`` is a read-only ``(4, n)`` float array built from ``rects``,
-    with rows ``lo.x, lo.y, hi.x, hi.y``; it takes no part in construction,
-    equality, hashing or the repr.
+    ``coords`` is a read-only ``(4, n)`` float array with rows ``lo.x, lo.y,
+    hi.x, hi.y``, the data every solver reads. An instance built from
+    ``rects`` reads the array from them. One from ``generate_instance``
+    holds only the array and builds ``rects`` from it on their first read,
+    then keeps them. Equality and hashing compare the coordinates and the
+    metadata, so both kinds agree with each other as tuples of Rectangle
+    would; ``coords`` takes no part in construction or the repr.
     """
 
     rects: tuple[Rectangle, ...]
     seed: int | None
     region: Region
     n_requested: int
-    coords: np.ndarray = field(init=False, repr=False, compare=False)
+    coords: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        coords = _coord_array(self.rects)
+        self._set_coords(_coord_array(self.rects))
+
+    @classmethod
+    def _from_coords(cls, coords: np.ndarray, seed: int | None, region: Region, n_requested: int) -> Instance:
+        """An instance holding the ``(4, n)`` float64 array ``coords`` and no Rectangle.
+
+        The array gets the finite ``lo < hi`` check of a box array and the
+        region check of ``__init__``, and is made read-only in place.
+        """
+        instance = object.__new__(cls)
+        for name, value in (("seed", seed), ("region", region), ("n_requested", n_requested)):
+            object.__setattr__(instance, name, value)
+        instance._set_coords(_coord_array(coords.T))
+        return instance
+
+    def _set_coords(self, coords: np.ndarray) -> None:
         lx, ly, hx, hy = coords
         g = self.region
         outside = (lx < g.x_min) | (hx > g.x_max) | (ly < g.y_min) | (hy > g.y_max)
         if outside.any():
             i = int(outside.argmax())
-            raise ValueError(f"rectangle {i} lies outside the region: {self.rects[i]}")
+            raise ValueError(f"rectangle {i} lies outside the region: {_rectangles(coords[:, i:i + 1])[0]}")
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
+    def __getattr__(self, name: str):
+        # Python calls this only for an attribute the instance lacks: the
+        # ``rects`` of one from _from_coords, until they are first read
+        if name != "rects":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rects = _rectangles(self.coords)
+        object.__setattr__(self, "rects", rects)
+        return rects
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.seed, self.region, self.n_requested) == (other.seed, other.region, other.n_requested)
+            and np.array_equal(self.coords, other.coords)
+        )
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which it equals
+        return hash(((self.coords + 0.0).tobytes(), self.seed, self.region, self.n_requested))
+
     @property
     def n(self) -> int:
-        return len(self.rects)
+        return self.coords.shape[1]
+
+
+def _rectangles(coords: np.ndarray) -> tuple[Rectangle, ...]:
+    """The Rectangle of each column of a ``(4, k)`` coordinate array."""
+    return tuple(Rectangle(Point(lx, ly), Point(hx, hy)) for lx, ly, hx, hy in coords.T.tolist())
 
 
 def make_rectangle(p: Point, q: Point) -> Rectangle:
@@ -187,22 +235,30 @@ def generate_instance(n: int, region: Region = UNIT_SQUARE, seed: int = 0) -> In
     draw with a shared x or y coordinate is discarded and redrawn so the
     result always has ``n`` proper rectangles. The generator is Python's
     Mersenne Twister seeded with ``seed``, so the same ``(n, region, seed)``
-    reproduces the identical instance on the same build.
+    reproduces the identical instance on the same build. The instance holds
+    only the coordinates; its ``rects`` are built when first read.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    rng = random.Random(seed)
-    rects = []
+    uniform = random.Random(seed).uniform
+    # an array('d') takes 8 bytes a draw where a list of floats takes 32
+    draws = array("d")
     for _ in range(n):
         while True:
-            px = rng.uniform(region.x_min, region.x_max)
-            py = rng.uniform(region.y_min, region.y_max)
-            qx = rng.uniform(region.x_min, region.x_max)
-            qy = rng.uniform(region.y_min, region.y_max)
+            px = uniform(region.x_min, region.x_max)
+            py = uniform(region.y_min, region.y_max)
+            qx = uniform(region.x_min, region.x_max)
+            qy = uniform(region.y_min, region.y_max)
             if px != qx and py != qy:
                 break
-        rects.append(make_rectangle(Point(px, py), Point(qx, qy)))
-    return Instance(tuple(rects), seed, region, n)
+        draws.extend((px, py, qx, qy))
+    # rows px, py, qx, qy; the draws differ, so min and max pick the doubles
+    # make_rectangle picks
+    corners = np.frombuffer(draws, dtype=np.float64).reshape(n, 4).T
+    coords = np.empty((4, n))
+    np.minimum(corners[:2], corners[2:], out=coords[:2])
+    np.maximum(corners[:2], corners[2:], out=coords[2:])
+    return Instance._from_coords(coords, seed, region, n)
 
 
 def interiors_intersect(a: Rectangle, b: Rectangle) -> bool:

@@ -8,7 +8,6 @@ ignored when reading.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 from .geometry import UNIT_SQUARE, Instance, Point, Rectangle, Region
@@ -21,11 +20,9 @@ class InstanceFormatError(ValueError):
 
 
 def dumps_instance(instance: Instance) -> str:
-    out = io.StringIO()
-    out.write(f"n {instance.n}\n")
-    for r in instance.rects:
-        out.write(f"{r.lo.x!r} {r.lo.y!r} {r.hi.x!r} {r.hi.y!r}\n")
-    return out.getvalue()
+    # reads the stored coordinates, so it builds no Rectangle
+    rows = "".join(f"{lx!r} {ly!r} {hx!r} {hy!r}\n" for lx, ly, hx, hy in instance.coords.T.tolist())
+    return f"n {instance.n}\n{rows}"
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectcover import geometry
-from rectcover.bench import trial_seed
+from rectcover.bench import ALGORITHMS, run_algorithm, trial_seed
 from rectcover.geometry import (
     UNIT_SQUARE,
     DegenerateRectangleError,
@@ -25,6 +25,7 @@ from rectcover.geometry import (
     make_rectangle,
 )
 
+from rectcover.instance_io import dumps_instance
 from rectcover.oracles import first_kept_inside
 
 from conftest import crossing_bars, equal_squares, inst_of, mk, nested_clusters, snapped_boxes
@@ -175,6 +176,63 @@ def test_seeded_instances_pinned(n, seed, digest):
     assert hashlib.sha256(generate_instance(n, seed=seed).coords.tobytes()).hexdigest() == digest
 
 
+def test_seeded_instance_pinned_off_the_unit_square():
+    # negative lower bounds and unequal extents: the corners are ordered by
+    # numpy's minimum and maximum, which must pick make_rectangle's doubles
+    instance = generate_instance(500, Region(-3.0, 2.0, 10.0, 10.5), seed=25)
+    digest = "b7c9fd9ad869901649dba292a41c6ff388ba5b19b1365ded22b8166ffec3d7f7"
+    assert hashlib.sha256(instance.coords.tobytes()).hexdigest() == digest
+
+
+def _per_rectangle_instance(n, region, seed):
+    """The generator as it was before it drew into an array: same draws, one
+    make_rectangle per box, and the instance built from the rectangles."""
+    rng = random.Random(seed)
+    rects = []
+    for _ in range(n):
+        while True:
+            px = rng.uniform(region.x_min, region.x_max)
+            py = rng.uniform(region.y_min, region.y_max)
+            qx = rng.uniform(region.x_min, region.x_max)
+            qy = rng.uniform(region.y_min, region.y_max)
+            if px != qx and py != qy:
+                break
+        rects.append(make_rectangle(Point(px, py), Point(qx, qy)))
+    return Instance(tuple(rects), seed, region, n)
+
+
+def _span(lo, extent):
+    hi = lo + extent
+    return lo, hi if hi > lo else math.nextafter(lo, math.inf)
+
+
+# negative, tiny (down to one ulp) and wide (up to 1e300) extents
+_axis = st.builds(
+    _span,
+    st.floats(-1e6, 1e6) | st.sampled_from([-1e300, -3.0, -0.0, 5e-324, 1.0]),
+    st.floats(1e-12, 1e6) | st.sampled_from([5e-324, 1e-300, 1e-9, 1e300]),
+)
+_regions = st.builds(lambda x, y: Region(*x, *y), _axis, _axis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_regions, st.integers(0, 50), st.integers(0, 2**64 - 1))
+def test_generate_instance_equals_the_per_rectangle_generator(region, n, seed):
+    outcomes = []
+    for make in (generate_instance, _per_rectangle_instance):
+        try:
+            outcomes.append(make(n, region, seed))
+        except ValueError as err:
+            outcomes.append(str(err))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got == want and hash(got) == hash(want)
+    assert got.coords.tobytes() == want.coords.tobytes()
+    assert got.rects == want.rects and repr(got) == repr(want)
+
+
 def test_generate_instance_invariants():
     region = Region(-2.0, 3.0, 1.0, 4.0)
     instance = generate_instance(250, region=region, seed=9)
@@ -292,6 +350,66 @@ def test_replace_rebuilds_the_coords():
         dataclasses.replace(instance, rects=(mk(0.1, 0.1, 0.2, 0.2), mk(0.5, 0.5, 1.5, 0.9)))
     with pytest.raises(ValueError, match="coords"):
         dataclasses.replace(instance, coords=instance.coords)
+
+
+def test_generated_instance_keeps_the_tuple_built_contract():
+    region = Region(-2.0, 3.0, -1.0, 0.5)
+    built = _per_rectangle_instance(40, region, 7)
+    instance = generate_instance(40, region, seed=7)
+    # equality and hashing read the coordinates, not the rectangles
+    assert instance == built and hash(instance) == hash(built)
+    assert "rects" not in vars(instance)
+    assert repr(instance) == repr(built)
+    assert instance.n == 40 and instance.rects == built.rects
+    by_keyword = Instance(rects=instance.rects, seed=7, region=region, n_requested=40)
+    assert by_keyword == Instance(instance.rects, 7, region, 40) == instance
+    reseeded = dataclasses.replace(generate_instance(40, region, seed=7), seed=8)
+    assert reseeded == dataclasses.replace(built, seed=8) != instance
+    shorter = dataclasses.replace(generate_instance(40, region, seed=7), rects=built.rects[5:9])
+    assert shorter == dataclasses.replace(built, rects=built.rects[5:9])
+    assert shorter.coords.tolist() == instance.coords[:, 5:9].tolist()
+
+
+def test_negative_zero_instances_compare_and_hash_equal():
+    # -0.0 == 0.0, so rectangles and instances holding either are equal
+    a = inst_of([mk(-0.0, 0, 1, 1)])
+    b = inst_of([mk(0, -0.0, 1, 1)])
+    assert a.rects == b.rects and a == b and hash(a) == hash(b)
+
+
+def test_instance_from_coords_checks_like_init():
+    box = mk(0.5, 0.5, 1.5, 0.9)
+    message = f"rectangle 1 lies outside the region: {box}"
+    coords = np.array([[0.1, 0.5], [0.1, 0.5], [0.2, 1.5], [0.2, 0.9]])
+    with pytest.raises(ValueError) as from_coords:
+        Instance._from_coords(coords.copy(), None, UNIT_SQUARE, 2)
+    with pytest.raises(ValueError) as from_rects:
+        Instance((mk(0.1, 0.1, 0.2, 0.2), box), None, UNIT_SQUARE, 2)
+    assert str(from_coords.value) == str(from_rects.value) == message
+    for bad in (math.nan, 0.1):  # a non-finite hi.x, then hi.x == lo.x
+        coords[2, 0] = bad
+        with pytest.raises(DegenerateRectangleError, match="box 0"):
+            Instance._from_coords(coords.copy(), None, UNIT_SQUARE, 2)
+
+
+def test_generated_instances_build_rectangles_only_when_read(monkeypatch):
+    made = {Point: 0, Rectangle: 0}
+    for cls in made:
+        def counting(self, cls=cls, check=cls.__post_init__):
+            made[cls] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    instance = generate_instance(2000, seed=44)
+    assert made == {Point: 0, Rectangle: 0}
+    filter_dominated(instance)
+    for name, algorithm in ALGORITHMS.items():
+        algorithm(instance)
+        assert run_algorithm(name, instance).verified
+    dumps_instance(instance)
+    assert made[Rectangle] == 0 and "rects" not in vars(instance)
+    rects = instance.rects
+    assert made[Rectangle] == 2000 and len(rects) == 2000
+    assert instance.rects is rects and made[Rectangle] == 2000
 
 
 # ---------------------------------------------------------------- domination

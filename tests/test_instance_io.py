@@ -1,6 +1,6 @@
 import pytest
 
-from rectcover.geometry import generate_instance
+from rectcover.geometry import Region, generate_instance
 from rectcover.instance_io import (
     InstanceFormatError,
     dumps_instance,
@@ -21,6 +21,27 @@ def test_round_trip_exact(tmp_path):
     assert loaded.seed is None  # files carry no seed
     # a second save of the loaded instance is byte-identical
     assert dumps_instance(loaded) == dumps_instance(instance)
+
+
+def _dumps_per_rectangle(instance):
+    # the format as written from each Rectangle, before dumps_instance read coords
+    lines = [f"{r.lo.x!r} {r.lo.y!r} {r.hi.x!r} {r.hi.y!r}\n" for r in instance.rects]
+    return f"n {instance.n}\n" + "".join(lines)
+
+
+def test_dumps_reads_the_same_doubles_as_the_rectangles():
+    loaded = loads_instance(
+        "n 3\n-0.0 -2 1e-300 3.5\n0.1 0.2 0.30000000000000004 1e10\n-1e300 -5e-324 1e300 5e-324\n"
+    )
+    for instance in (
+        generate_instance(300, seed=11),
+        generate_instance(300, Region(-40.0, -2.5, -1e-3, 7.0), seed=12),
+        loaded,
+    ):
+        text = dumps_instance(instance)
+        assert text == _dumps_per_rectangle(instance)
+        assert loads_instance(text).rects == instance.rects
+    assert dumps_instance(loaded).splitlines()[1] == "-0.0 -2.0 1e-300 3.5"
 
 
 def test_empty_instance():
