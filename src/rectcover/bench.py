@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 from .cliques import CornerDepths, max_clique_sweep
 from .geometry import Instance, UnstabbableOverlapError, filter_dominated, generate_instance
-from .graph import build_graph, find_simplicial
+from .graph import bit_indices, build_graph, find_simplicial
 from .heuristics import CoverResult, IndependentSetResult, gcc, gcc_i, mis_greedy, mis_i
 from .oracles import (
     DEFAULT_MCC_CAP,
@@ -237,9 +237,13 @@ def verify_random(
     from the rectangles, on every residual of a peel by the oracle's
     cliques, with members as positions in the live list; the simplicial
     search returns the member of least (degree, id) of the brute-force
-    simplicial scan, or None when the scan is empty; every heuristic output
-    is valid; and the size sandwich ``mis <= exact MIS <= exact cover <=
-    gcc-i`` holds. Returns a list of violation descriptions (empty means
+    simplicial scan, or None when the scan is empty, on every residual of a
+    peel that deletes the found vertex's closed neighborhood, or else the
+    maximum-degree vertex, as ``mis_greedy``'s peel does (so the non-cliques
+    a search remembers from earlier residuals, and the vertices it rejects
+    for a lower-degree neighbor, are checked together); every heuristic
+    output is valid; and the size sandwich ``mis <= exact MIS <= exact cover
+    <= gcc-i`` holds. Returns a list of violation descriptions (empty means
     all checks passed).
 
     Raises:
@@ -277,13 +281,21 @@ def verify_random(
             live = [v for i, v in enumerate(live) if i not in want.members]
 
         graph = build_graph(instance)
-        scan = simplicial_scan(graph)
-        vertex = find_simplicial(graph)
-        least = min(scan, key=lambda v: (graph.degree(v), v)) if scan else None
-        if vertex != least:
-            violations.append(
-                f"{tag} simplicial search returned {vertex}, the scan's least (degree, id) member is {least}"
-            )
+        residual = graph
+        while residual.n:
+            scan = simplicial_scan(residual)
+            vertex = find_simplicial(residual)
+            least = min(scan, key=lambda v: (residual.degree(v), v)) if scan else None
+            if vertex != least:
+                violations.append(
+                    f"{tag} simplicial search returned {vertex}, the scan's least (degree, id) "
+                    f"member is {least}, on the live vertices {residual.vertices()}"
+                )
+                break
+            if vertex is None:
+                residual = residual.remove_vertices([residual.max_degree_vertex()])
+            else:
+                residual = residual.remove_vertices(bit_indices(residual.neighborhood_mask(vertex)))
 
         records = {name: run_algorithm(name, instance) for name in ALGORITHMS}
         for name, rec in records.items():

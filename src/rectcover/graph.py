@@ -9,6 +9,8 @@ vertices known not to have a clique for their closed neighborhood. Only the
 live neighbors of removed vertices change degree, so a new view keeps every
 other vertex in its class and refiles those, and an untouched neighborhood
 is unchanged, so it keeps the known non-cliques that lost no neighbor. A
+known non-clique is one that failed a clique test, or one the search
+rejected without a test because it has a live neighbor of lower degree. A
 found clique needs no memory: its vertex lies in its own closed
 neighborhood, which the heuristics delete in the round that finds it. Vertex
 ids always refer to the originally built graph, so a rectangle keeps its id
@@ -202,7 +204,8 @@ class SimplicialSearchStats:
     """Diagnostics from simplicial searches.
 
     ``entry_accesses`` counts adjacency-matrix entry touches: one live row
-    for each adjacency row read by each clique test actually made.
+    for each adjacency row read by each clique test actually made, and one
+    for the row a rejection by a lower-degree neighbor reads.
     """
 
     entry_accesses: int = 0
@@ -214,26 +217,39 @@ def find_simplicial(g: IntersectionGraph, stats: SimplicialSearchStats | None = 
     A vertex is simplicial when its closed neighborhood is a clique.
     Vertices are visited in increasing order of current degree (ties to the
     lowest id) by walking ``g.degree_classes()`` in order, each class in id
-    order, and the first simplicial one is returned. A failed clique test is
+    order, and the first simplicial one is returned. Every neighbor ``u`` of
+    a simplicial ``v`` has ``N[v]`` inside ``N[u]``, so ``deg(u) >= deg(v)``:
+    a vertex with a live neighbor in a class already walked is not
+    simplicial, and one AND of its row with the union of those classes
+    rejects it without a clique test. A failed clique test or a rejection is
     remembered in ``g`` and in the views ``remove_vertices`` makes from it,
     until the vertex loses a neighbor: known non-cliques are masked out of
     each class, and only the other vertices are tested. A found vertex is
     not remembered, since it is deleted with its neighborhood in the round
-    that finds it. Vertex 0 is a valid answer, so test the result with
-    ``is not None``.
+    that finds it. So a peel of a graph with k vertices and E edges makes
+    at most k + E tests and rejections. Vertex 0 is a valid answer, so test
+    the result with ``is not None``.
     """
+    rows = g._rows
     unknown = ~g._non_cliques
+    below = 0
     for cls in g.degree_classes():
         rest = cls & unknown
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
+            if rows[v] & below:
+                g._non_cliques |= low
+                if stats is not None:
+                    stats.entry_accesses += g.n
+                continue
             clique, read = g._closed_clique_test(v)
             if stats is not None:
                 stats.entry_accesses += g.n * read
             if clique:
                 return v
+        below |= cls
     return None
 
 

@@ -176,6 +176,24 @@ def test_verify_random_wants_the_least_simplicial_vertex(monkeypatch):
     assert all("least (degree, id)" in v for v in violations)
 
 
+def test_verify_random_checks_the_search_after_deletions(monkeypatch):
+    # a search that is right on the whole graph and returns another
+    # simplicial vertex on a residual is caught on the residual
+    real = bench.find_simplicial
+
+    def fresh_only(graph):
+        if graph.n == len(graph.raw_adjacency()):
+            return real(graph)
+        scan = bench.simplicial_scan(graph)
+        return max(scan, key=lambda v: (graph.degree(v), v)) if scan else None
+
+    monkeypatch.setattr(bench, "find_simplicial", fresh_only)
+    violations = verify_random(2, 11, base_seed=2)
+    assert len(violations) == 2
+    assert all("least (degree, id)" in v for v in violations)
+    assert not any("on the live vertices [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]" in v for v in violations)
+
+
 def test_verify_random_checks_the_filter(monkeypatch):
     # a filter that takes the highest-index kept box inside as a witness
     # differs from the reference wherever a box holds two kept ones

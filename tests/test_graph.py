@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from rectcover.geometry import generate_instance, interiors_intersect
-from rectcover.graph import IntersectionGraph, _build_pairwise, bit_indices, build_graph
+from rectcover.graph import (
+    IntersectionGraph,
+    SimplicialSearchStats,
+    _build_pairwise,
+    bit_indices,
+    build_graph,
+    find_simplicial,
+)
+from rectcover.oracles import simplicial_scan
 
 from conftest import crossing_bars, equal_squares, mk
 
@@ -252,7 +260,8 @@ def test_remove_repeated_vertex_counts_it_once(triangle):
 
 
 # The clique test and the memory of its failures are private to the graph
-# module; these two tests reach into them to pin what find_simplicial relies on.
+# module; the next three tests reach into them to pin what find_simplicial
+# relies on.
 @pytest.mark.parametrize(
     "layout, expected",
     [
@@ -288,6 +297,46 @@ def test_failed_clique_test_kept_until_a_neighbor_goes(frame4):
     assert k._non_cliques == 0
     assert k._closed_clique_test(0) == (True, 2)
     assert k._non_cliques == 0
+
+
+def _graph_of_edges(n, edges):
+    # a view built straight from an edge list, degree classes included
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    classes = [0] * (max(r.bit_count() for r in rows) + 1)
+    for v, row in enumerate(rows):
+        classes[row.bit_count()] |= 1 << v
+    return IntersectionGraph(rows, classes, (1 << n) - 1)
+
+
+def test_lower_degree_neighbor_rejects_without_a_clique_test(monkeypatch):
+    # the 4-cycle 0-1-2-3 with 4 joined to 0, 1 and 2, and apart from it the
+    # clique 5-8. Only 3 has degree 2, so in the degree-3 class its
+    # neighbors 0 and 2 are rejected by one row read each; 1 and 4 are
+    # tested and fail, and 5 is the first simplicial vertex
+    hood = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2)]
+    clique = [(a, b) for a in range(5, 9) for b in range(a + 1, 9)]
+    g = _graph_of_edges(9, hood + clique)
+    tested, reads = [], []
+    test = IntersectionGraph._closed_clique_test
+
+    def spy(self, v):
+        tested.append(v)
+        answer = test(self, v)
+        reads.append(answer[1])
+        return answer
+
+    monkeypatch.setattr(IntersectionGraph, "_closed_clique_test", spy)
+    stats = SimplicialSearchStats()
+    v = find_simplicial(g, stats=stats)
+    assert tested == [3, 1, 4, 5]
+    assert g._non_cliques == 0b11111
+    assert stats.entry_accesses == g.n * (sum(reads) + 2)
+    scan = simplicial_scan(g)
+    assert scan == {5, 6, 7, 8}
+    assert v == min(scan, key=lambda u: (g.degree(u), u))
 
 
 def test_degree_sum_is_twice_edges():
