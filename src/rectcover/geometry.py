@@ -24,7 +24,11 @@ of 256, and tests each block against itself and against the rectangles kept
 so far that start left of the block's largest ``hi.x`` (a presorted window,
 after Kung, Luccio & Preparata, JACM 1975). That costs at most O(n·kept)
 containment tests instead of O(n²), and far fewer where the boxes are
-narrow against the spread of their ``lo.x``.
+narrow against the spread of their ``lo.x``. The visiting order is one
+argsort by ``lo.x``; only the runs of equal ``lo.x`` are lexsorted by the
+other three coordinates, and identical boxes, which share a ``lo.x``, get
+one id from their place in those runs. On random floats no two boxes share
+a ``lo.x``, so the lexsort gets nothing to sort.
 """
 
 from __future__ import annotations
@@ -396,12 +400,25 @@ def filter_dominated(instance) -> tuple[list[int], list[tuple[int, int]]]:
     # transitive and a chain of nested boxes ends at a kept one, so a box is
     # dominated exactly when it contains a box kept so far or one of its own
     # block, and then contains a kept one.
-    order = np.lexsort((hy, -ly, hx, -lx))
-    # Identical boxes sort next to each other, so a nonzero coordinate
-    # difference to the previous box starts a new box id. Telling identical
-    # boxes apart by id takes one comparison per pair instead of four.
+    order = np.argsort(-lx)
+    # Only boxes that share a lo.x need the other three keys. ties holds the
+    # positions whose lo.x equals the previous position's, runs every
+    # position of a run of equal lo.x. Lexsorting the boxes at runs, taken
+    # in index order and with lo.x still the first key, puts each run back
+    # in its place in the order a four-key lexsort of all boxes gives.
+    ties = np.flatnonzero(lx[order[1:]] == lx[order[:-1]]) + 1
+    runs = np.union1d(ties - 1, ties)
+    tied = np.sort(order[runs])
+    order[runs] = tied[np.lexsort((hy[tied], -ly[tied], hx[tied], -lx[tied]))]
+    # Identical boxes share a lo.x, so they now sit next to each other: a
+    # position starts a new box id unless it ties with the previous box on
+    # every coordinate. Telling identical boxes apart by id takes one
+    # comparison per pair instead of four.
+    cur, prev = order[ties], order[ties - 1]
+    new_box = np.ones(n, dtype=bool)
+    new_box[ties[(hx[cur] == hx[prev]) & (ly[cur] == ly[prev]) & (hy[cur] == hy[prev])]] = False
     box = np.empty(n, dtype=np.intp)
-    box[order] = np.cumsum(np.diff(coords[:, order], prepend=np.nan).any(axis=0))
+    box[order] = np.cumsum(new_box)
     is_kept = np.zeros(n, dtype=bool)
     witness = np.full(n, -1)
     # The boxes kept so far, by ascending lo.x, fill window[free:]. Each

@@ -505,7 +505,7 @@ def test_filter_dominated_restores_the_ufunc_buffer(caller_bufsize, monkeypatch)
     with pytest.raises(MemoryError):
         filter_dominated([mk(0, 0, 1, 1)])
     monkeypatch.undo()
-    monkeypatch.setattr(geometry.np, "lexsort", failing)
+    monkeypatch.setattr(geometry.np, "argsort", failing)
     with pytest.raises(MemoryError):
         filter_dominated(instance)
     assert seen == [geometry._UFUNC_BUFSIZE] * 2
@@ -578,6 +578,31 @@ def test_nested_boxes_of_equal_lo_x_split_by_a_block_boundary(inner):
     assert filter_dominated(rects) == first_kept_inside(rects) == ([*range(1, 257)], [(0, 1)])
     rects = right + [inner, outer]
     assert filter_dominated(rects) == first_kept_inside(rects) == ([*range(256)], [(256, 255)])
+
+
+def test_a_run_of_equal_lo_x_across_a_block_boundary():
+    # 304 boxes share lo.x = 0, so the filter sorts them as one run by hi.x
+    # ascending, lo.y descending and hi.y ascending, and the run fills the
+    # first 256-row block and part of the second. No two stairs contain
+    # each other; stair k sits at sorted position k up to k = 255, and
+    # stair 255's exact copy at position 256, where it must find the first
+    # copy kept without being dominated by it. The first three boxes come
+    # first by index but last in the run, so a sort that left equal lo.x
+    # in index order would visit them before the stairs inside them.
+    stairs = [mk(0, 2 * k, k + 1, 2 * k + 3) for k in range(300)]
+    rects = [
+        mk(0, 199, 301, 204),  # holds stair 100 of the first block
+        mk(0, 509, 256, 513),  # holds both copies of stair 255: lower lo.y
+        mk(0, 510, 256, 513.5),  # and higher hi.y
+        *stairs,
+        stairs[255],
+    ]
+    order = np.lexsort(np.array([[r.hi.y, -r.lo.y, r.hi.x, -r.lo.x] for r in rects]).T)
+    assert order[255:257].tolist() == [258, 303]
+    kept, removed = filter_dominated(rects)
+    assert removed == [(0, 103), (1, 258), (2, 258)]
+    assert kept == list(range(3, 304))
+    assert (kept, removed) == first_kept_inside(rects)
 
 
 def test_window_edge_holds_a_kept_box_starting_at_the_largest_hi_x():
