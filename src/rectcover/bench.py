@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Sequence
 
 from .cliques import CornerDepths, max_clique_sweep
 from .geometry import Instance, UnstabbableOverlapError, filter_dominated, generate_instance
-from .graph import bit_indices, build_graph, find_simplicial
-from .heuristics import CoverResult, IndependentSetResult, gcc, gcc_i, mis_greedy, mis_i
+from .graph import bit_indices, build_graph, find_simplicial, find_top_cliques
+from .heuristics import CoverResult, IndependentSetResult, _narrowed_max_clique, gcc, gcc_i, mis_greedy, mis_i
 from .oracles import (
     DEFAULT_MCC_CAP,
     DEFAULT_MIS_CAP,
@@ -235,7 +235,11 @@ def verify_random(
     state's maximum cliques, read from box arrays of ``instance.coords`` as
     the heuristics read them, equal the enumeration oracle's witness, read
     from the rectangles, on every residual of a peel by the oracle's
-    cliques, with members as positions in the live list; the simplicial
+    cliques, with members as positions in the live list, and so does the
+    narrowed sweep ``gcc`` makes (``heuristics._narrowed_max_clique`` over
+    the cliques of ``find_top_cliques``) on each residual whose top degree
+    class holds a simplicial vertex, with the search's memory of earlier
+    residuals, as in a peel; the simplicial
     search returns the member of least (degree, id) of the brute-force
     simplicial scan, or None when the scan is empty, on every residual of a
     peel that deletes the found vertex's closed neighborhood, or else the
@@ -265,22 +269,31 @@ def verify_random(
         # read from instance.coords; the oracle gets the rectangles
         rects, boxes = instance.rects, instance.coords.T
         state = CornerDepths(instance) if rects else None
+        graph = build_graph(instance)
+        # a view of its own, so the simplicial check below starts with no
+        # memory of the clique searches here
+        residual = graph.remove_vertices(())
         live = list(range(len(rects)))
         while live:
             want = max_clique_candidates([rects[v] for v in live])
             got = {"sweep": max_clique_sweep(boxes[live])}
+            alive = sum(1 << v for v in live)
             try:
-                corner = state.max_clique(sum(1 << v for v in live))
+                corner = state.max_clique(alive)
                 got["corner"] = replace(corner, members=tuple(map(live.index, corner.members)))
             except UnstabbableOverlapError as err:
                 got["corner"] = repr(err)
+            tops = find_top_cliques(residual)
+            if tops:
+                narrowed = _narrowed_max_clique(boxes, alive, tops)
+                got["narrowed"] = replace(narrowed, members=tuple(map(live.index, narrowed.members)))
             wrong = [f"{name} max clique {w}" for name, w in got.items() if w != want]
             if wrong:
                 violations.append(f"{tag} {' and '.join(wrong)} != oracle {want} on the live boxes {live}")
                 break
+            residual = residual.remove_vertices(live[i] for i in want.members)
             live = [v for i, v in enumerate(live) if i not in want.members]
 
-        graph = build_graph(instance)
         residual = graph
         while residual.n:
             scan = simplicial_scan(residual)

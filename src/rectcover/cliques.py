@@ -8,8 +8,15 @@ starts from scratch each call; ``CornerDepths`` keeps the depths of the
 candidate corners across a peel's deletions, read off its live bitset. Both
 walk the same top-down edge events (``_edge_events``): the sweep to find
 the deepest cell, the state's build once to list its corners and their
-starting depths. The simplicial search needs only the graph and lives
+starting depths. The simplicial searches need only the graph and live
 with it in ``graph``.
+
+A sweep need not read every live box. Where the graph shows a clique as
+large as its maximum degree plus one (``graph.find_top_cliques``), the
+maximum cliques are known before any sweep, and ``gcc``'s peel sweeps only
+the first one's members and the two live boxes that close its top-left
+cell (``first_clique_boxes``), with the clique's size for the bound: the
+witness is the one a sweep of all live boxes gives.
 
 Both engines read their boxes through ``geometry._coord_array``: an
 Instance, a ``(k, 4)`` float64 box array or a sequence of Rectangle. The
@@ -31,6 +38,7 @@ from .segtree import MaxAddSegmentTree
 __all__ = [
     "CliqueWitness",
     "CornerDepths",
+    "first_clique_boxes",
     "max_clique_sweep",
 ]
 
@@ -135,6 +143,43 @@ def max_clique_sweep(boxes, *, bound: int | None = None) -> CliqueWitness:
         add(a, b, -kind)
 
     return _witness(np.arange(n), coords, best_depth, best_cell)
+
+
+def first_clique_boxes(boxes, alive: int, cliques: list[list[int]]) -> list[int]:
+    """The ids of the boxes a sweep needs to find the first of ``cliques``.
+
+    ``boxes`` is a ``(k, 4)`` box array, ``alive`` the bitset of its live
+    rows and ``cliques`` their maximum cliques, as ``find_top_cliques``
+    gives them. The sweep's first deepest cell is the top-left cell of one
+    clique's common box: the one with the highest common top (least
+    ``hi.y`` of its members), then the lowest common left (largest
+    ``lo.x``). Two maximum cliques share no cell, so no two tie. The cell
+    reaches right to the next live x after that left and down to the next
+    live y below that top. So the ids are the clique's members and the live
+    boxes holding those two coordinates, ascending. A sweep of them with
+    the clique's size for its bound finds the same cell, stab point and
+    members as a sweep of every live box: each clique of that size among
+    them is a maximum clique of the live boxes, so none comes before that
+    cell.
+    """
+    # one row of members per clique: maximum cliques share a size
+    members = boxes[np.array(cliques)]
+    tops, lefts = members[:, :, 3].min(axis=1), members[:, :, 0].max(axis=1)
+    first = int(np.lexsort((lefts, -tops))[0])
+    left, top = lefts[first], tops[first]
+    live = _set_bits(alive, len(boxes))
+    # a box's two x (or y) coordinates sit one live count apart
+    rows = boxes[live]
+    xs, ys = rows[:, 0::2].T.ravel(), rows[:, 1::2].T.ravel()
+    right = live[np.where(xs > left, xs, np.inf).argmin() % len(live)]
+    below = live[np.where(ys < top, ys, -np.inf).argmax() % len(live)]
+    return sorted({*cliques[first], int(right), int(below)})
+
+
+def _set_bits(mask: int, n: int) -> np.ndarray:
+    """The set bits of ``mask``, all below ``n``, as an ascending id array."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, count=n, bitorder="little"))
 
 
 def _witness(ids, bounds, depth: int, cell) -> CliqueWitness:
@@ -272,9 +317,7 @@ class CornerDepths:
         if extra:
             raise ValueError(f"rectangle {(extra & -extra).bit_length() - 1} is not live")
         self._alive = alive
-        n = self._coords.shape[1]
-        raw = np.frombuffer(alive.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-        return np.flatnonzero(np.unpackbits(raw, count=n, bitorder="little"))
+        return _set_bits(alive, self._coords.shape[1])
 
     def _lower(self, v: int) -> None:
         """Lower by one the depth of every corner box ``v`` covers."""

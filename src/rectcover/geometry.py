@@ -373,7 +373,6 @@ def _check_stabbable(coords) -> None:
             )
 
 
-@_small_ufunc_buffer()
 def filter_dominated(instance) -> tuple[list[int], list[tuple[int, int]]]:
     """Split rectangle indices into kept (non-dominated) and removed.
 
@@ -390,6 +389,17 @@ def filter_dominated(instance) -> tuple[list[int], list[tuple[int, int]]]:
 
     Raises:
         TypeError, DegenerateRectangleError: as ``_coord_array`` does.
+    """
+    kept, removed, witness = _split_dominated(instance)
+    return kept.tolist(), list(zip(removed.tolist(), witness.tolist()))
+
+
+@_small_ufunc_buffer()
+def _split_dominated(instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``filter_dominated`` as three ascending-id arrays: kept, removed and their witnesses.
+
+    ``witness[j]`` is the witness of ``removed[j]``. The heuristics read
+    these arrays, and build no ``(i, w)`` pair.
     """
     coords = _coord_array(instance)
     lx, ly, hx, hy = coords
@@ -451,7 +461,7 @@ def filter_dominated(instance) -> tuple[list[int], list[tuple[int, int]]]:
         # so the first kept hit is the lowest-index witness
         witness[rows[dominated]] = cols[(ins[dominated] & is_kept[cols]).argmax(axis=1)]
     removed = np.flatnonzero(witness >= 0)
-    return np.flatnonzero(is_kept).tolist(), list(zip(removed.tolist(), witness[removed].tolist()))
+    return np.flatnonzero(is_kept), removed, witness[removed]
 
 
 def common_intersection(boxes) -> Rectangle | None:

@@ -1,4 +1,4 @@
-"""Intersection graph of rectangles with bitset adjacency, and the simplicial search.
+"""Intersection graph of rectangles with bitset adjacency, and the simplicial searches.
 
 Adjacency rows are Python integers used as bitsets: bit ``j`` of row ``i``
 says rectangles ``i`` and ``j`` have open interiors that intersect. The
@@ -9,14 +9,16 @@ vertices known not to have a clique for their closed neighborhood. Only the
 live neighbors of removed vertices change degree, so a new view keeps every
 other vertex in its class and refiles those, and an untouched neighborhood
 is unchanged, so it keeps the known non-cliques that lost no neighbor. A
-known non-clique is one that failed a clique test, or one the search
-rejected without a test because it has a live neighbor of lower degree. A
-found clique needs no memory: its vertex lies in its own closed
-neighborhood, which the heuristics delete in the round that finds it. Vertex
-ids always refer to the originally built graph, so a rectangle keeps its id
-across deletions. The memory is private to this module: only
-``find_simplicial`` reads it and adds to it, and only ``remove_vertices``
-forgets from it.
+known non-clique is one that failed a clique test, or one a search
+rejected without a test: it has a live neighbor of lower degree, or two
+live neighbors that are not adjacent. A found clique needs no memory: its
+vertex lies in its own closed neighborhood, which the heuristics delete in
+the round that finds it. Vertex ids always refer to the originally built
+graph, so a rectangle keeps its id across deletions. The memory is private
+to this module: only the two searches read it and add to it,
+``find_simplicial`` (the least simplicial vertex) and ``find_top_cliques``
+(the simplicial vertices of the top degree class, for ``gcc``'s maximum
+cliques), and only ``remove_vertices`` forgets from it.
 
 The graph is built from the boxes' coordinate rows, read by
 ``geometry._coord_array`` (the heuristics pass a box-array slice of
@@ -37,7 +39,14 @@ import numpy as np
 
 from .geometry import _check_stabbable, _coord_array, _small_ufunc_buffer
 
-__all__ = ["IntersectionGraph", "SimplicialSearchStats", "build_graph", "bit_indices", "find_simplicial"]
+__all__ = [
+    "IntersectionGraph",
+    "SimplicialSearchStats",
+    "build_graph",
+    "bit_indices",
+    "find_simplicial",
+    "find_top_cliques",
+]
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -56,7 +65,7 @@ class IntersectionGraph:
     Views are made by ``build_graph`` and ``remove_vertices``. A view's
     adjacency rows, live set and degree classes are fixed once it is made;
     only its private set of known non-cliques changes, and it only grows,
-    when ``find_simplicial`` finds another one. Entry ``d`` of
+    when a search finds another one. Entry ``d`` of
     ``degree_classes()`` is the bitset of live vertices with ``d`` live
     neighbors. Vertex ids may be any integer type, numpy's included.
     """
@@ -134,12 +143,15 @@ class IntersectionGraph:
 
     # -- remembered clique tests ---------------------------------------
 
-    def _closed_clique_test(self, v: int) -> tuple[bool, int]:
-        """Whether ``v``'s closed neighborhood is a clique, and the rows read.
+    def _closed_clique_test(self, v: int) -> tuple[int, int, int]:
+        """Test whether ``v``'s closed neighborhood is a clique.
 
         The rows of ``v`` and of its live neighbors are read in id order, up
-        to the first that misses a member. A failed test adds ``v`` to the
-        known non-cliques; a passed one leaves no memory.
+        to the first that misses a member. Returns ``(read, u, missed)``:
+        the rows read and, for a failed test, the neighbor ``u`` whose row
+        missed and the bitset of the members it misses; for a passed test
+        ``u`` and ``missed`` are 0. A failed test adds ``v`` to the known
+        non-cliques; a passed one leaves no memory.
         """
         bit = 1 << v
         rows = self._rows
@@ -150,10 +162,12 @@ class IntersectionGraph:
             low = rest & -rest
             rest ^= low
             read += 1
-            if closed & ~(rows[low.bit_length() - 1] | low):
+            u = low.bit_length() - 1
+            missed = closed & ~(rows[u] | low)
+            if missed:
                 self._non_cliques |= bit
-                return False, read
-        return True, read
+                return read, u, missed
+        return read, 0, 0
 
     # -- deletion ------------------------------------------------------
 
@@ -244,13 +258,63 @@ def find_simplicial(g: IntersectionGraph, stats: SimplicialSearchStats | None = 
                 if stats is not None:
                     stats.entry_accesses += g.n
                 continue
-            clique, read = g._closed_clique_test(v)
+            read, _, missed = g._closed_clique_test(v)
             if stats is not None:
                 stats.entry_accesses += g.n * read
-            if clique:
+            if not missed:
                 return v
         below |= cls
     return None
+
+
+def find_top_cliques(g: IntersectionGraph) -> list[list[int]]:
+    """The cliques of ``Δ + 1`` live vertices, for ``Δ`` the live maximum degree.
+
+    Each member of such a clique has degree ``Δ`` and the clique for its
+    closed neighborhood. So these cliques are the closed neighborhoods of
+    the simplicial vertices of the top degree class, two of them share no
+    vertex, and they are the maximum cliques. Each is listed once, by its
+    members in id order, and the cliques in the order of their lowest ids.
+    The list is empty when no vertex is live or the maximum clique is
+    smaller. With no edge left, each live vertex is a clique of its own.
+
+    The top class is walked in id order, with the known non-cliques masked
+    out, under ``find_simplicial``'s rules. A vertex with a live neighbor
+    of lower degree is rejected by one AND. A failed clique test of ``v``
+    finds two members ``u`` and ``b`` of its closed neighborhood that are
+    not adjacent, so every top vertex adjacent to both is rejected at once.
+    A found clique takes its members out of the walk, since each has the
+    same closed neighborhood. Rejected vertices join the known non-cliques,
+    which ``find_simplicial`` shares: both searches remember the same fact.
+    """
+    classes = g.degree_classes()
+    if len(classes) <= 1:
+        # no edge: listing the live vertices skips a clique test each, which
+        # a tail of isolated boxes would pay again every round
+        return [[v] for v in bit_indices(g._alive)]
+    rows, alive = g._rows, g._alive
+    top = classes[-1]
+    below = alive ^ top
+    rest = top & ~g._non_cliques
+    cliques = []
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        if rows[v] & below:
+            g._non_cliques |= low
+            rest ^= low
+            continue
+        _, u, missed = g._closed_clique_test(v)
+        if missed:
+            # v is adjacent to both, so this rejects it too
+            rejected = top & rows[u] & rows[(missed & -missed).bit_length() - 1]
+            g._non_cliques |= rejected
+            rest &= ~rejected
+        else:
+            clique = (rows[v] & alive) | low
+            cliques.append(bit_indices(clique))
+            rest &= ~clique
+    return cliques
 
 
 # -- builders ----------------------------------------------------------

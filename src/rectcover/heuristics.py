@@ -22,9 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cliques import CornerDepths, max_clique_sweep
-from .geometry import Instance, Point, UnstabbableOverlapError, filter_dominated
-from .graph import bit_indices, build_graph, find_simplicial
+from .cliques import CliqueWitness, CornerDepths, first_clique_boxes, max_clique_sweep
+from .geometry import Instance, Point, UnstabbableOverlapError
+# the filter's array core, under the public name: perfbench/tracer.py times
+# the filter by wrapping heuristics.filter_dominated
+from .geometry import _split_dominated as filter_dominated
+from .graph import bit_indices, build_graph, find_simplicial, find_top_cliques
 
 __all__ = ["CoverResult", "IndependentSetResult", "gcc", "gcc_i", "mis_greedy", "mis_i"]
 
@@ -73,12 +76,13 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
     ``simplicial`` is set and one exists, with ``stab`` None. Otherwise it
     takes the stuck step, with ``vertex`` None: a maximum clique and its
     stab point if ``cliques`` is set, else the single maximum-degree vertex
-    and no point. Returns ``kept``, ``removed``, ``boxes`` and the rounds.
-    ``kept`` and ``removed`` are as ``filter_dominated`` gives them, and
-    ``boxes`` is the kept rectangles' ``(k, 4)`` box array, taken once from
-    ``instance.coords``. Vertex ids index ``kept`` and the rows of
-    ``boxes``; the graph, the sweeps and the state read ``boxes`` and its
-    row slices, and no ``Rectangle``.
+    and no point. Returns ``kept``, ``removed``, ``inside``, ``boxes`` and
+    the rounds. ``kept`` and ``removed`` are the filter's id arrays, and
+    ``inside[j]`` is the id of ``removed[j]``'s domination witness (see
+    ``geometry._split_dominated``). ``boxes`` is the kept rectangles'
+    ``(k, 4)`` box array, taken once from ``instance.coords``. Vertex ids
+    index ``kept`` and the rows of ``boxes``; the graph, the sweeps and the
+    state read ``boxes`` and its row slices, and no ``Rectangle``.
 
     A maximum clique comes from ``max_clique_sweep`` over the live
     rectangles until a sweep's clique falls short of its ``bound``. Such a
@@ -93,8 +97,17 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
     A sweep's ``bound`` is the live graph's maximum degree plus one, or the
     size of the last stuck step's clique if that is less. Live sets only
     shrink, so both bound the live graph's maximum clique.
+
+    A stuck round before the state is built first asks ``find_top_cliques``
+    for the cliques of maximum degree plus one boxes. If there are any,
+    they are the maximum cliques, and ``_narrowed_max_clique`` sweeps only
+    a few boxes, with that size for its bound; the sweep finds the witness
+    a sweep of every live box would, and reaches its bound, so the switch
+    comes when it did. ``gcc_i`` and ``mis_i`` are stuck only when
+    ``find_simplicial`` has rejected every live vertex, so for them the
+    search finds nothing at once.
     """
-    kept, removed = filter_dominated(instance)
+    kept, removed, inside = filter_dominated(instance)
     # take, not coords[:, kept]: that comes back Fortran-ordered, with strided rows
     boxes = instance.coords.take(kept, axis=1).T
     graph = build_graph(boxes)
@@ -115,16 +128,39 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
                 witness = corners.max_clique(graph.alive_mask)
                 members = witness.members
             else:
-                vs = graph.vertices()
-                bound = min(last, len(graph.degree_classes()))
-                witness = max_clique_sweep(boxes[vs], bound=bound)
+                tops = find_top_cliques(graph)
+                if tops:
+                    witness = _narrowed_max_clique(boxes, graph.alive_mask, tops)
+                    bound = len(tops[0])
+                    members = witness.members
+                else:
+                    vs = graph.vertices()
+                    bound = min(last, len(graph.degree_classes()))
+                    witness = max_clique_sweep(boxes[vs], bound=bound)
+                    members = tuple(vs[local] for local in witness.members)
                 walked = witness.size < bound
-                members = tuple(vs[local] for local in witness.members)
             step = (None, members, witness.stab)
             last = len(members)
         rounds.append(step)
         graph = graph.remove_vertices(step[1])
-    return kept, removed, boxes, rounds
+    return kept, removed, inside, boxes, rounds
+
+
+def _narrowed_max_clique(boxes, alive: int, cliques: list[list[int]]) -> CliqueWitness:
+    """The sweep's maximum clique of the live rows of ``boxes``, read from a few.
+
+    ``alive`` is the bitset of the live rows and ``cliques`` their maximum
+    cliques, as ``find_top_cliques`` gives them. ``max_clique_sweep`` reads
+    only the boxes ``first_clique_boxes`` picks, with the cliques' size for
+    its bound, and the witness's members are row ids of ``boxes``. It is
+    the witness a sweep of every live row gives. ``bench.verify_random``
+    checks it against the oracle. The sweep is called through this module,
+    as the full one is, so a hook on ``heuristics.max_clique_sweep`` sees
+    both.
+    """
+    vs = first_clique_boxes(boxes, alive, cliques)
+    witness = max_clique_sweep(boxes[vs], bound=len(cliques[0]))
+    return CliqueWitness(tuple(vs[local] for local in witness.members), witness.stab)
 
 
 def _stab_points(boxes, rounds) -> list[Point]:
@@ -158,18 +194,21 @@ def _stab_points(boxes, rounds) -> list[Point]:
 
 def _cover(instance: Instance, simplicial: bool) -> CoverResult:
     t0 = time.perf_counter()
-    kept, removed, boxes, rounds = _peel(instance, simplicial, True)
+    kept, removed, inside, boxes, rounds = _peel(instance, simplicial, True)
     points = _stab_points(boxes, rounds)
-    assignment = [0] * instance.n
+    # each kept box's round by vertex id, scattered to instance ids; a
+    # dominated box takes its witness's point
+    by_vertex = [0] * len(kept)
     for pid, (_, members, _) in enumerate(rounds):
         for v in members:
-            assignment[kept[v]] = pid
-    for i, w in removed:
-        assignment[i] = assignment[w]
+            by_vertex[v] = pid
+    assignment = np.empty(instance.n, dtype=np.intp)
+    assignment[kept] = by_vertex
+    assignment[removed] = assignment[inside]
     theta = sum(vertex is not None for vertex, _, _ in rounds)
     return CoverResult(
         points=tuple(points),
-        assignment=tuple(assignment),
+        assignment=tuple(assignment.tolist()),
         theta_count=theta,
         phi_count=len(rounds) - theta,
         elapsed=time.perf_counter() - t0,
@@ -178,9 +217,9 @@ def _cover(instance: Instance, simplicial: bool) -> CoverResult:
 
 def _independent(instance: Instance, cliques: bool) -> IndependentSetResult:
     t0 = time.perf_counter()
-    kept, _, _, rounds = _peel(instance, True, cliques)
-    chosen = sorted(kept[vertex] for vertex, _, _ in rounds if vertex is not None)
-    return IndependentSetResult(tuple(chosen), time.perf_counter() - t0)
+    kept, _, _, _, rounds = _peel(instance, True, cliques)
+    chosen = np.sort(kept[[vertex for vertex, _, _ in rounds if vertex is not None]])
+    return IndependentSetResult(tuple(chosen.tolist()), time.perf_counter() - t0)
 
 
 def gcc(instance: Instance) -> CoverResult:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rectcover import bench
+from rectcover import bench, heuristics
 from rectcover.bench import (
     BenchRow,
     format_csv,
@@ -161,6 +161,23 @@ def test_verify_random_checks_the_corner_state_after_deletions(monkeypatch):
     assert len(violations) == 2
     assert all("corner max clique" in v and "sweep max clique" not in v for v in violations)
     assert not any("on the live boxes [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]" in v for v in violations)
+
+
+def test_verify_random_checks_the_narrowed_sweep(monkeypatch):
+    # a narrowed sweep of the last maximum clique in sweep order instead of
+    # the first disagrees with the oracle on a residual with two or more,
+    # such as a tail of isolated boxes; the full sweep and the state do not
+    real = heuristics.first_clique_boxes
+
+    def last_in_sweep_order(boxes, alive, cliques):
+        keys = [(-boxes[c, 3].min(), boxes[c, 0].max()) for c in cliques]
+        return real(boxes, alive, [cliques[keys.index(max(keys))]])
+
+    monkeypatch.setattr(heuristics, "first_clique_boxes", last_in_sweep_order)
+    violations = verify_random(3, 11, base_seed=2)
+    assert len(violations) == 2
+    assert all("narrowed max clique" in v and "sweep max clique" not in v for v in violations)
+    assert all("corner max clique" not in v for v in violations)
 
 
 def test_verify_random_wants_the_least_simplicial_vertex(monkeypatch):

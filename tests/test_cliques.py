@@ -7,9 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectcover import heuristics
-from rectcover.cliques import CliqueWitness, CornerDepths, max_clique_sweep
+from rectcover.cliques import CliqueWitness, CornerDepths, first_clique_boxes, max_clique_sweep
 from rectcover.geometry import DegenerateRectangleError, Point, common_intersection, filter_dominated, generate_instance
-from rectcover.graph import IntersectionGraph, SimplicialSearchStats, bit_indices, build_graph, find_simplicial
+from rectcover.graph import (
+    IntersectionGraph,
+    SimplicialSearchStats,
+    bit_indices,
+    build_graph,
+    find_simplicial,
+    find_top_cliques,
+)
 from rectcover.heuristics import gcc, gcc_i, mis_greedy, mis_i
 from rectcover.oracles import exact_mcc, max_clique_candidates, simplicial_scan, verify_independent
 from rectcover.segtree import MaxAddSegmentTree
@@ -497,6 +504,39 @@ def test_sweep_work_pinned(family, algo, monkeypatch):
     assert (*work, switch[0] if switch else None) == SWEEP_WORK[family, algo]
 
 
+# Two disjoint cliques of two boxes each, boxes 0-1 and 2-3, where the
+# second comes first in sweep order: by a higher common top, or by a lower
+# common left at equal tops. Boxes 4 and 5 stand apart and hold the next y
+# below that top and the next x right of that left, so the sweep's cell is
+# narrower than the clique's common box.
+FIRST_CLIQUE = {
+    "by-top": [
+        mk(0, 0, 2, 2), mk(1, 1, 3, 3), mk(10, 5, 12, 7), mk(11, 6, 13, 8),
+        mk(20, 6.5, 21, 9), mk(11.5, 20, 14, 21),
+    ],
+    "by-left": [
+        mk(10, 0, 12, 2), mk(11, 1, 13, 3), mk(0, 0, 2, 2), mk(1, 1, 3, 3),
+        mk(30, 1.5, 31, 5), mk(1.5, 20, 4, 21),
+    ],
+}
+
+
+@pytest.mark.parametrize("rects", list(FIRST_CLIQUE.values()), ids=list(FIRST_CLIQUE))
+def test_first_clique_boxes_follow_sweep_order(rects):
+    boxes = inst_of(rects).coords.T
+    g = build_graph(boxes)
+    tops = find_top_cliques(g)
+    assert tops == [[0, 1], [2, 3]]
+    ids = first_clique_boxes(boxes, g.alive_mask, tops)
+    assert ids == [2, 3, 4, 5]
+    full = max_clique_sweep(boxes)
+    assert full.members == (2, 3)
+    assert heuristics._narrowed_max_clique(boxes, g.alive_mask, tops) == full
+    # without the two boxes apart the cell would reach further, and the
+    # stab point would move
+    assert max_clique_sweep(boxes[[2, 3]]).stab != full.stab
+
+
 def _gcc_sweeps_and_builds(rects, monkeypatch):
     """gcc's size on ``rects``, its sweeps' (boxes, bound, clique size) and
     the live boxes of each corner state it builds."""
@@ -531,7 +571,10 @@ def test_gcc_keeps_sweeping_while_sweeps_reach_their_bound(monkeypatch):
     # disjoint groups of 8, 7, 6, 5, 4 and 3 equal squares, each shifted
     # 0.1 along the diagonal from the last, so none is dominated; each
     # group is a clique, so every sweep stops at its bound, the size of the
-    # largest group left, and no state is built
+    # largest group left, and no state is built. The largest group is the
+    # only clique of maximum degree plus one boxes, and its own members
+    # hold the next x and y past its common box's top-left corner, so each
+    # sweep reads that group alone
     rects = [
         mk(10 * g + 0.1 * i, 0.1 * i, 10 * g + 0.1 * i + 1, 0.1 * i + 1)
         for g, m in enumerate([8, 7, 6, 5, 4, 3])
@@ -539,5 +582,5 @@ def test_gcc_keeps_sweeping_while_sweeps_reach_their_bound(monkeypatch):
     ]
     size, sweeps, builds = _gcc_sweeps_and_builds(rects, monkeypatch)
     assert size == 6
-    assert sweeps == [(33, 8, 8), (25, 7, 7), (18, 6, 6), (12, 5, 5), (7, 4, 4), (3, 3, 3)]
+    assert sweeps == [(8, 8, 8), (7, 7, 7), (6, 6, 6), (5, 5, 5), (4, 4, 4), (3, 3, 3)]
     assert builds == []

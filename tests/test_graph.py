@@ -11,10 +11,11 @@ from rectcover.graph import (
     bit_indices,
     build_graph,
     find_simplicial,
+    find_top_cliques,
 )
 from rectcover.oracles import simplicial_scan
 
-from conftest import crossing_bars, equal_squares, mk
+from conftest import crossing_bars, dense_frame, equal_squares, mk
 
 
 def test_bit_indices():
@@ -265,10 +266,13 @@ def test_remove_repeated_vertex_counts_it_once(triangle):
 @pytest.mark.parametrize(
     "layout, expected",
     [
-        ("triangle", [(True, 3), (True, 3), (True, 3)]),
+        # (rows read, the neighbor whose row missed, the members it missed)
+        ("triangle", [(3, 0, 0), (3, 0, 0), (3, 0, 0)]),
         # the middle row misses the far end after reading one neighbor's row
-        ("chain3", [(True, 2), (False, 2), (True, 2)]),
-        ("frame4", [(False, 2), (False, 2), (False, 2), (False, 2)]),
+        ("chain3", [(2, 0, 0), (2, 0, 0b100), (2, 0, 0)]),
+        # top and bottom read left's row, which misses right; left and
+        # right read top's row, which misses bottom
+        ("frame4", [(2, 2, 0b1000), (2, 2, 0b1000), (2, 0, 0b10), (2, 0, 0b10)]),
     ],
 )
 def test_closed_clique_test_answers_and_rows_read(layout, expected, request):
@@ -276,7 +280,7 @@ def test_closed_clique_test_answers_and_rows_read(layout, expected, request):
     failed = 0
     for v, answer in enumerate(expected):
         assert g._closed_clique_test(v) == answer, v
-        if not answer[0]:
+        if answer[2]:
             failed |= 1 << v
         # only failures are remembered
         assert g._non_cliques == failed, v
@@ -287,15 +291,15 @@ def test_closed_clique_test_answers_and_rows_read(layout, expected, request):
 
 def test_failed_clique_test_kept_until_a_neighbor_goes(frame4):
     g = build_graph(frame4)
-    assert not g._closed_clique_test(0)[0]
-    assert not g._closed_clique_test(2)[0]
+    assert g._closed_clique_test(0)[2]
+    assert g._closed_clique_test(2)[2]
     # bottom (1) touches left (2) and right (3) but not top (0)
     h = g.remove_vertices([1])
     assert h._non_cliques == 0b0001
     # left was top's neighbor: top forgets, and is now simplicial
     k = h.remove_vertices([2])
     assert k._non_cliques == 0
-    assert k._closed_clique_test(0) == (True, 2)
+    assert k._closed_clique_test(0) == (2, 0, 0)
     assert k._non_cliques == 0
 
 
@@ -325,7 +329,7 @@ def test_lower_degree_neighbor_rejects_without_a_clique_test(monkeypatch):
     def spy(self, v):
         tested.append(v)
         answer = test(self, v)
-        reads.append(answer[1])
+        reads.append(answer[0])
         return answer
 
     monkeypatch.setattr(IntersectionGraph, "_closed_clique_test", spy)
@@ -337,6 +341,76 @@ def test_lower_degree_neighbor_rejects_without_a_clique_test(monkeypatch):
     scan = simplicial_scan(g)
     assert scan == {5, 6, 7, 8}
     assert v == min(scan, key=lambda u: (g.degree(u), u))
+
+
+# ------------------------------------------------ cliques of the top class
+
+
+def test_top_cliques_are_listed_once_by_lowest_id():
+    # two disjoint pairs with the second pair's boxes first by id, and a
+    # path 4-5-6 whose middle box has the top degree but no clique for its
+    # neighborhood: the degree-1 classes of the pairs are not the top class
+    rects = [mk(10, 0, 12, 2), mk(0, 0, 2, 2), mk(11, 1, 13, 3), mk(1, 1, 3, 3)]
+    assert find_top_cliques(build_graph(rects)) == [[0, 2], [1, 3]]
+    path = [mk(20, 0, 23, 1), mk(22, 0, 25, 1), mk(24, 0, 27, 1)]
+    g = build_graph(rects + path)
+    assert find_top_cliques(g) == []
+    assert find_top_cliques(g.remove_vertices([5])) == [[0, 2], [1, 3]]
+
+
+def test_top_cliques_of_an_edgeless_live_graph_are_its_vertices(chain3):
+    apart = [mk(3 * i, 0, 3 * i + 2, 1) for i in range(5)]
+    assert find_top_cliques(build_graph(apart)) == [[v] for v in range(5)]
+    assert find_top_cliques(build_graph(apart).remove_vertices([0, 3])) == [[1], [2], [4]]
+    # the middle of the chain gone, its two ends are cliques of one
+    assert find_top_cliques(build_graph(chain3).remove_vertices([1])) == [[0], [2]]
+    assert find_top_cliques(build_graph([])) == []
+
+
+@pytest.mark.parametrize("layout", ["frame4", "dense_frame"])
+def test_top_cliques_none_after_a_handful_of_tests(layout, monkeypatch, request):
+    # every box has the top degree and none has a clique for its
+    # neighborhood. The first failed test finds two disjoint sides that
+    # every box of the other two sides crosses, so it rejects those boxes
+    # without a test; one more test rejects the rest
+    rects = request.getfixturevalue("frame4") if layout == "frame4" else dense_frame(100, 1)
+    g = build_graph(rects)
+    assert g.degree_classes()[-1] == g.alive_mask
+    tested = []
+    test = IntersectionGraph._closed_clique_test
+
+    def spy(self, v):
+        tested.append(v)
+        return test(self, v)
+
+    monkeypatch.setattr(IntersectionGraph, "_closed_clique_test", spy)
+    assert find_top_cliques(g) == []
+    assert len(tested) <= 3, tested
+    # every rejection is remembered, so asking again tests nothing
+    assert g._non_cliques == g.alive_mask
+    assert find_top_cliques(g) == [] and len(tested) <= 3
+
+
+def test_top_cliques_reject_a_vertex_with_a_lower_degree_neighbor(monkeypatch):
+    # the triangle 0-1-2 with a leaf 3 on 2, and apart from it the triangle
+    # 4-5-6: box 2 has the top degree 3 but its leaf has degree 1, so it is
+    # rejected by one AND; the top class is {2} alone and there is no
+    # clique of four
+    tested = []
+    test = IntersectionGraph._closed_clique_test
+
+    def spy(self, v):
+        tested.append(v)
+        return test(self, v)
+
+    monkeypatch.setattr(IntersectionGraph, "_closed_clique_test", spy)
+    edges = [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6)]
+    g = _graph_of_edges(7, edges)
+    assert find_top_cliques(g) == []
+    assert tested == [] and g._non_cliques == 0b100
+    # with the leaf gone, the two triangles are the maximum cliques
+    assert find_top_cliques(g.remove_vertices([3])) == [[0, 1, 2], [4, 5, 6]]
+    assert tested == [0, 4]
 
 
 def test_degree_sum_is_twice_edges():

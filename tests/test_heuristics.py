@@ -137,8 +137,8 @@ def test_only_covers_build_simplicial_stab_boxes(layout, monkeypatch):
 def test_empty_simplicial_common_box_is_a_typed_error(chain3, monkeypatch):
     # the chain's end boxes 0 and 2 are disjoint, so no point stabs them both
     def bad_peel(instance, simplicial, cliques):
-        kept, removed, boxes, _ = PEEL(instance, simplicial, cliques)
-        return kept, removed, boxes, [(1, [0, 2], None)]
+        *filtered, boxes, _ = PEEL(instance, simplicial, cliques)
+        return *filtered, boxes, [(1, [0, 2], None)]
 
     monkeypatch.setattr(heuristics, "_peel", bad_peel)
     with pytest.raises(UnstabbableOverlapError, match="no common interior"):
@@ -460,21 +460,23 @@ def test_overlaps_two_ulps_wide_solve(algo, rects):
 CLIQUE_HEURISTICS = [gcc, gcc_i, mis_i]
 
 
-PEEL, CORNER_DEPTHS = heuristics._peel, heuristics.CornerDepths
+PEEL, CORNER_DEPTHS, FIND_TOP_CLIQUES = heuristics._peel, heuristics.CornerDepths, heuristics.find_top_cliques
 
 
 def _peels(algo, instance, monkeypatch):
-    """Run ``algo`` as it is and with ``SweepOnlyDepths`` for the corner
-    state, so that every clique comes from a sweep; both must give the same
-    result and rounds, or both raise ``UnstabbableOverlapError``. Returns
-    the number of states the default peel built, at most one."""
+    """Run ``algo`` as it is, with ``SweepOnlyDepths`` for the corner state,
+    so that every clique comes from a sweep, and with ``find_top_cliques``
+    finding nothing, so that every sweep reads all live boxes. All three
+    must give the same result and rounds, or all raise
+    ``UnstabbableOverlapError``. Returns the number of states the default
+    peel built, at most one."""
     builds = []
 
     def counted(*args):
         builds.append(args)
         return CORNER_DEPTHS(*args)
 
-    def run(depths):
+    def run(depths, search):
         peels = []
 
         def recorded(*args):
@@ -483,14 +485,17 @@ def _peels(algo, instance, monkeypatch):
 
         monkeypatch.setattr(heuristics, "_peel", recorded)
         monkeypatch.setattr(heuristics, "CornerDepths", depths)
+        monkeypatch.setattr(heuristics, "find_top_cliques", search)
         try:
             result = algo(instance)
         except UnstabbableOverlapError:
             return UnstabbableOverlapError
-        kept, removed, _, rounds = peels[0]
-        return result, (kept, removed, rounds)
+        kept, removed, inside, _, rounds = peels[0]
+        return result, (kept.tolist(), removed.tolist(), inside.tolist(), rounds)
 
-    assert run(counted) == run(SweepOnlyDepths)
+    default = run(counted, FIND_TOP_CLIQUES)
+    assert default == run(SweepOnlyDepths, FIND_TOP_CLIQUES)
+    assert default == run(CORNER_DEPTHS, lambda graph: [])
     assert len(builds) <= 1
     return len(builds)
 
