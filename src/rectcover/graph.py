@@ -8,17 +8,22 @@ the live mask, the live vertices grouped into degree classes, and the live
 vertices known not to have a clique for their closed neighborhood. Only the
 live neighbors of removed vertices change degree, so a new view keeps every
 other vertex in its class and refiles those, and an untouched neighborhood
-is unchanged, so it keeps the known non-cliques that lost no neighbor. A
-known non-clique is one that failed a clique test, or one a search
-rejected without a test: it has a live neighbor of lower degree, or two
-live neighbors that are not adjacent. A found clique needs no memory: its
-vertex lies in its own closed neighborhood, which the heuristics delete in
-the round that finds it. Vertex ids always refer to the originally built
-graph, so a rectangle keeps its id across deletions. The memory is private
-to this module: only the two searches read it and add to it,
-``find_simplicial`` (the least simplicial vertex) and ``find_top_cliques``
-(the simplicial vertices of the top degree class, for ``gcc``'s maximum
-cliques), and only ``remove_vertices`` forgets from it.
+is unchanged, so it keeps the known non-cliques that lost no neighbor.
+Vertex ids always refer to the originally built graph, so a rectangle
+keeps its id across deletions.
+
+Both searches, ``find_simplicial`` (the least simplicial vertex) and
+``find_top_cliques`` (the simplicial vertices of the top degree class,
+for ``gcc``'s maximum cliques), are one walk over degree classes,
+``_simplicial``, with the known non-cliques masked out. It rejects a
+vertex without its own clique test by two rules: a live neighbor of lower
+degree, found by one AND, or two live neighbors that are not adjacent,
+which a failed test finds and which reject every vertex adjacent to both.
+Rejected and failed vertices become known non-cliques. A found clique
+needs no memory: its vertex lies in its own closed neighborhood, which
+the heuristics delete in the round that finds it. The memory is private
+to this module: only the walk reads it and adds to it, and only
+``remove_vertices`` forgets from it.
 
 The graph is built from the boxes' coordinate rows, read by
 ``geometry._coord_array`` (the heuristics pass a box-array slice of
@@ -218,53 +223,71 @@ class SimplicialSearchStats:
     """Diagnostics from simplicial searches.
 
     ``entry_accesses`` counts adjacency-matrix entry touches: one live row
-    for each adjacency row read by each clique test actually made, and one
-    for the row a rejection by a lower-degree neighbor reads.
+    for each adjacency row read by each clique test actually made, one for
+    the row a rejection by a lower-degree neighbor reads, and one, ``b``'s,
+    for the row a rejection by a non-adjacent pair reads.
     """
 
     entry_accesses: int = 0
 
 
+def _simplicial(g: IntersectionGraph, classes: list[int], below: int, stats: SimplicialSearchStats | None = None):
+    """Yield the simplicial live vertices of ``classes``, walked in order.
+
+    Each class is walked in id order with the known non-cliques masked
+    out. ``below`` is the union of the live vertices of lower degree, and
+    each class joins it once walked. Every neighbor ``u`` of a simplicial
+    ``v`` has ``N[v]`` inside ``N[u]``, so ``deg(u) >= deg(v)``: a vertex
+    with a live neighbor in ``below`` is not simplicial, and one AND of its
+    row with ``below`` rejects it without a clique test. A failed clique
+    test of ``v`` finds a neighbor ``u`` and a member ``b`` of ``N[v]``
+    that are not adjacent, and no live vertex adjacent to both is
+    simplicial, so all of them are rejected at once (Rose, Tarjan & Lueker,
+    1976). Rejected vertices join the known non-cliques. A simplicial
+    vertex is yielded, and its closed neighborhood leaves the walk.
+    """
+    rows, alive, n = g._rows, g._alive, g.n
+    for cls in classes:
+        rest = cls & ~g._non_cliques
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if rows[v] & below:
+                read, rejected = 1, low
+            else:
+                read, u, missed = g._closed_clique_test(v)
+                if missed:
+                    # v is adjacent to both, so this rejects it too
+                    read += 1
+                    rejected = alive & rows[u] & rows[(missed & -missed).bit_length() - 1]
+                else:
+                    rejected = 0
+            if stats is not None:
+                stats.entry_accesses += n * read
+            if rejected:
+                g._non_cliques |= rejected
+                rest &= ~rejected
+            else:
+                yield v
+                rest &= ~((rows[v] & alive) | low)
+        below |= cls
+
+
 def find_simplicial(g: IntersectionGraph, stats: SimplicialSearchStats | None = None) -> int | None:
     """The simplicial live vertex of least (degree, id), or None if none is.
 
-    A vertex is simplicial when its closed neighborhood is a clique.
-    Vertices are visited in increasing order of current degree (ties to the
-    lowest id) by walking ``g.degree_classes()`` in order, each class in id
-    order, and the first simplicial one is returned. Every neighbor ``u`` of
-    a simplicial ``v`` has ``N[v]`` inside ``N[u]``, so ``deg(u) >= deg(v)``:
-    a vertex with a live neighbor in a class already walked is not
-    simplicial, and one AND of its row with the union of those classes
-    rejects it without a clique test. A failed clique test or a rejection is
-    remembered in ``g`` and in the views ``remove_vertices`` makes from it,
-    until the vertex loses a neighbor: known non-cliques are masked out of
-    each class, and only the other vertices are tested. A found vertex is
-    not remembered, since it is deleted with its neighborhood in the round
-    that finds it. So a peel of a graph with k vertices and E edges makes
-    at most k + E tests and rejections. Vertex 0 is a valid answer, so test
-    the result with ``is not None``.
+    A vertex is simplicial when its closed neighborhood is a clique. The
+    search walks ``g.degree_classes()`` from the lowest degree up, each in
+    id order, under ``_simplicial``'s rules, and returns the first
+    simplicial vertex. A rejection or a failed clique test is remembered
+    in ``g`` and in the views ``remove_vertices`` makes from it, until the
+    vertex loses a neighbor, and only the other vertices are tested. A
+    found vertex is not remembered, since it is deleted with its
+    neighborhood in the round that finds it. So a peel of a graph with k
+    vertices and E edges makes at most k + E tests and rejections. Vertex 0
+    is a valid answer, so test the result with ``is not None``.
     """
-    rows = g._rows
-    unknown = ~g._non_cliques
-    below = 0
-    for cls in g.degree_classes():
-        rest = cls & unknown
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if rows[v] & below:
-                g._non_cliques |= low
-                if stats is not None:
-                    stats.entry_accesses += g.n
-                continue
-            read, _, missed = g._closed_clique_test(v)
-            if stats is not None:
-                stats.entry_accesses += g.n * read
-            if not missed:
-                return v
-        below |= cls
-    return None
+    return next(_simplicial(g, g.degree_classes(), 0, stats), None)
 
 
 def find_top_cliques(g: IntersectionGraph) -> list[list[int]]:
@@ -278,43 +301,16 @@ def find_top_cliques(g: IntersectionGraph) -> list[list[int]]:
     The list is empty when no vertex is live or the maximum clique is
     smaller. With no edge left, each live vertex is a clique of its own.
 
-    The top class is walked in id order, with the known non-cliques masked
-    out, under ``find_simplicial``'s rules. A vertex with a live neighbor
-    of lower degree is rejected by one AND. A failed clique test of ``v``
-    finds two members ``u`` and ``b`` of its closed neighborhood that are
-    not adjacent, so every top vertex adjacent to both is rejected at once.
-    A found clique takes its members out of the walk, since each has the
-    same closed neighborhood. Rejected vertices join the known non-cliques,
-    which ``find_simplicial`` shares: both searches remember the same fact.
+    The top class is walked under ``_simplicial``'s rules, with every
+    lower class below it, and shares ``find_simplicial``'s memory.
     """
     classes = g.degree_classes()
     if len(classes) <= 1:
         # no edge: listing the live vertices skips a clique test each, which
         # a tail of isolated boxes would pay again every round
         return [[v] for v in bit_indices(g._alive)]
-    rows, alive = g._rows, g._alive
     top = classes[-1]
-    below = alive ^ top
-    rest = top & ~g._non_cliques
-    cliques = []
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        if rows[v] & below:
-            g._non_cliques |= low
-            rest ^= low
-            continue
-        _, u, missed = g._closed_clique_test(v)
-        if missed:
-            # v is adjacent to both, so this rejects it too
-            rejected = top & rows[u] & rows[(missed & -missed).bit_length() - 1]
-            g._non_cliques |= rejected
-            rest &= ~rejected
-        else:
-            clique = (rows[v] & alive) | low
-            cliques.append(bit_indices(clique))
-            rest &= ~clique
-    return cliques
+    return [bit_indices(g.neighborhood_mask(v)) for v in _simplicial(g, [top], g._alive ^ top)]
 
 
 # -- builders ----------------------------------------------------------

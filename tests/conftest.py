@@ -8,7 +8,7 @@ import pytest
 
 from rectcover.cliques import CliqueWitness, CornerDepths, max_clique_sweep
 from rectcover.geometry import Instance, Point, Rectangle, Region, UnstabbableOverlapError, _coord_array, generate_instance
-from rectcover.graph import bit_indices, build_graph, find_simplicial
+from rectcover.graph import bit_indices, build_graph, find_simplicial, find_top_cliques
 from rectcover.oracles import simplicial_scan
 
 
@@ -133,12 +133,21 @@ def check_remembered_search(rects, seed):
     live vertices. The search on the peeled view, which remembers clique
     tests from earlier rounds, must give the vertex a fresh view of the
     same live set gives, and the vertex of least (degree, id) among those
-    ``simplicial_scan`` finds. Known non-cliques must not be simplicial.
+    ``simplicial_scan`` finds. Every other round first lists the top
+    cliques on the same view, which must be the closed neighborhoods of
+    the scan's members of the top degree class, so both searches are
+    checked on one memory. Known non-cliques must not be
+    simplicial.
     """
     rng = random.Random(seed)
     g = build_graph(rects)
-    deleted = []
+    deleted, lists = [], False
     while g.n:
+        lists = not lists
+        if lists:
+            top = g.degree_classes()[-1]
+            hoods = {tuple(bit_indices(g.neighborhood_mask(u))) for u in simplicial_scan(g) if top >> u & 1}
+            assert find_top_cliques(g) == sorted(map(list, hoods)), deleted
         v = find_simplicial(g)
         assert v == find_simplicial(build_graph(rects).remove_vertices(deleted)), deleted
         scan = simplicial_scan(g)

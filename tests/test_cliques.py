@@ -390,15 +390,16 @@ def test_simplicial_memo_agrees_with_fresh_search(frame4):
 # degree each round, and any search visiting in (degree, id) order finds
 # the same vertices. The entry_accesses are pinned from the search that
 # rejects a vertex with a live neighbor in an already walked degree class
-# by reading its row alone, without a clique test; the bars peels have no
-# such vertex.
+# by reading its row alone, without a clique test, and after a failed test
+# rejects every live vertex adjacent to the two non-adjacent members it
+# found by reading one more row.
 SEARCH_WORK = {
-    ("uniform", mis_greedy): (65, "38e1ca2c98928fca", 50293),
-    ("uniform", gcc_i): (39, "ea0cc0308d748658", 23758),
-    ("squares", mis_greedy): (92, "dade6b38f0ce5d0b", 258551),
-    ("squares", gcc_i): (33, "297e6e3ee066f442", 79501),
-    ("bars", mis_greedy): (23, "9d5cdb84a64932c6", 5684),
-    ("bars", gcc_i): (12, "2c378f89932087a5", 5196),
+    ("uniform", mis_greedy): (65, "38e1ca2c98928fca", 40139),
+    ("uniform", gcc_i): (39, "ea0cc0308d748658", 17966),
+    ("squares", mis_greedy): (92, "dade6b38f0ce5d0b", 207995),
+    ("squares", gcc_i): (33, "297e6e3ee066f442", 63579),
+    ("bars", mis_greedy): (23, "9d5cdb84a64932c6", 791),
+    ("bars", gcc_i): (12, "2c378f89932087a5", 928),
 }
 
 
