@@ -18,17 +18,21 @@ and the engines row slices of ``instance.coords.T``, so a solve reads no
 ``Rectangle`` after the instance is built.
 
 ``filter_dominated`` finds the rectangles that contain another one, and for
-each a kept rectangle inside it, in one pass: it visits the rectangles by
-descending ``lo.x``, so every box comes after the boxes inside it, in blocks
-of 256, and tests each block against itself and against the rectangles kept
-so far that start left of the block's largest ``hi.x`` (a presorted window,
-after Kung, Luccio & Preparata, JACM 1975). That costs at most O(n·kept)
-containment tests instead of O(n²), and far fewer where the boxes are
-narrow against the spread of their ``lo.x``. The visiting order is one
-argsort by ``lo.x``; only the runs of equal ``lo.x`` are lexsorted by the
-other three coordinates, and identical boxes, which share a ``lo.x``, get
-one id from their place in those runs. On random floats no two boxes share
-a ``lo.x``, so the lexsort gets nothing to sort.
+each the lowest-index kept rectangle inside it. It visits the rectangles by
+descending ``lo.x``, so every box comes after the boxes inside it. The
+visiting order is one argsort by ``lo.x``; only the runs of equal ``lo.x``
+are lexsorted by the other three coordinates, and identical boxes, which
+share a ``lo.x``, sit together in those runs. They are kept or removed
+together, so the filter's two passes see one box of each such set. The
+first pass finds the kept set in blocks of 256. It keeps a box untested
+when no earlier box has a ``hi.x`` as small as its own, and tests the other
+rows of a block against the rectangles kept so far that start left of the
+rows' largest ``hi.x`` (a presorted window, after Kung, Luccio & Preparata,
+JACM 1975), with the shorter of the two on the outer axis of numpy's
+broadcast. The rows the window leaves are tested against the rest of their
+block. The second pass walks the kept ids in ascending chunks and gives
+each removed box the first kept box inside it. Both passes make at most
+O(n·kept) containment tests instead of O(n²).
 """
 
 from __future__ import annotations
@@ -361,11 +365,13 @@ def _check_stabbable(coords) -> None:
     """
     lx, ly, hx, hy = coords
     for axis, lo, hi in (("x", lx, hx), ("y", ly, hy)):
-        # a set, not np.isin or a numpy sort: their first call maps 0.6-1.6
-        # MB more of numpy's code and work buffers, which shows in peak RSS
-        shared = set(hi.tolist()).intersection(np.nextafter(lo, np.inf).tolist())
-        if shared:
-            upper = min(shared)
+        # look up the double just above each lower coordinate among the
+        # sorted upper ones
+        hi = np.sort(hi)
+        above = np.nextafter(lo, np.inf)
+        shared = above[hi.take(np.searchsorted(hi, above), mode="clip") == above]
+        if len(shared):
+            upper = float(shared.min())
             raise UnstabbableOverlapError(
                 f"no double lies strictly between lower {axis} "
                 f"{math.nextafter(upper, -math.inf)!r} and upper {axis} {upper!r}, "
@@ -406,10 +412,7 @@ def _split_dominated(instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = len(lx)
     # Boxes go by lo.x descending, then hi.x ascending, lo.y descending and
     # hi.y ascending. A box inside another has every coordinate on the same
-    # side and one strictly, so it sorts strictly first. Containment is
-    # transitive and a chain of nested boxes ends at a kept one, so a box is
-    # dominated exactly when it contains a box kept so far or one of its own
-    # block, and then contains a kept one.
+    # side and one strictly, so it sorts strictly first.
     order = np.argsort(-lx)
     # Only boxes that share a lo.x need the other three keys. ties holds the
     # positions whose lo.x equals the previous position's, runs every
@@ -421,47 +424,144 @@ def _split_dominated(instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tied = np.sort(order[runs])
     order[runs] = tied[np.lexsort((hy[tied], -ly[tied], hx[tied], -lx[tied]))]
     # Identical boxes share a lo.x, so they now sit next to each other: a
-    # position starts a new box id unless it ties with the previous box on
-    # every coordinate. Telling identical boxes apart by id takes one
-    # comparison per pair instead of four.
+    # position starts a new box unless it ties with the previous box on
+    # every coordinate. Identical boxes do not dominate each other and are
+    # kept or removed together, so the first pass reads only the first box
+    # of each set, and every position takes its first box's answer.
     cur, prev = order[ties], order[ties - 1]
     new_box = np.ones(n, dtype=bool)
     new_box[ties[(hx[cur] == hx[prev]) & (ly[cur] == ly[prev]) & (hy[cur] == hy[prev])]] = False
-    box = np.empty(n, dtype=np.intp)
-    box[order] = np.cumsum(new_box)
-    is_kept = np.zeros(n, dtype=bool)
-    witness = np.full(n, -1)
+    # take, not coords[:, ids]: that gives strided rows, which compare
+    # about three times slower
+    first_kept = _kept_in_order(coords.take(order[new_box], axis=1))
+    is_kept = np.empty(n, dtype=bool)
+    is_kept[order] = first_kept[np.cumsum(new_box) - 1]
+    kept, removed = np.flatnonzero(is_kept), np.flatnonzero(~is_kept)
+    return kept, removed, _witnesses(coords, kept, removed)
+
+
+def _kept_in_order(coords: np.ndarray) -> np.ndarray:
+    """The first pass of the filter: which boxes contain no other box.
+
+    ``coords`` holds pairwise distinct boxes in the filter's visiting
+    order, so a box comes after every box inside it. Containment is
+    transitive and a chain of nested boxes ends at a kept one, so a box is
+    removed exactly when it contains a kept box, which comes earlier.
+    Returns the mask of kept boxes.
+    """
+    lx, ly, hx, hy = coords
+    m = len(lx)
+    # A box can hold another only if some earlier box has a hi.x no larger
+    # than its own. The other boxes are kept untested: on equal squares, all.
+    tested = np.zeros(m, dtype=bool)
+    np.less_equal(np.minimum.accumulate(hx[:-1]), hx[1:], out=tested[1:])
+    kept = np.ones(m, dtype=bool)
     # The boxes kept so far, by ascending lo.x, fill window[free:]. Each
     # block's new ones have no larger lo.x than any earlier, so they go in
     # front. A kept box inside a row box has lo.x below its own hi.x, so
-    # below the row's: a block needs only the kept boxes up to its largest
-    # hi.x, a prefix of the window.
-    window = np.empty(n, dtype=np.intp)
-    window_lx = np.empty(n)
-    free = n
-    block_rows = 256
-    for start in range(0, n, block_rows):
-        rows = order[start:start + block_rows]
-        reach = free + int(np.searchsorted(window_lx[free:], hx[rows].max(), side="right"))
-        cols = np.sort(np.concatenate((window[free:reach], rows)))
-        rlx, rly, rhx, rhy = (a[rows, None] for a in coords)
-        # one gather per row: coords[:, cols] has strided rows, which
-        # compared about three times slower
-        clx, cly, chx, chy = (a[cols] for a in coords)
-        # ins[r, c]: row box r holds column box c's closed box and differs from it
-        ins = (rlx <= clx) & (rhx >= chx) & (rly <= cly) & (rhy >= chy)
-        ins &= box[rows, None] != box[cols]
-        dominated = ins.any(axis=1)
-        new = rows[~dominated][::-1]
-        is_kept[new] = True
+    # below the row's: a block needs only the kept boxes up to its rows'
+    # largest hi.x, a prefix of the window.
+    window = np.empty(m, dtype=np.intp)
+    window_lx = np.empty(m)
+    free = m
+    for start in range(0, m, _UFUNC_BUFSIZE):
+        stop = start + _UFUNC_BUFSIZE
+        rows = tested[start:stop].nonzero()[0] + start
+        if len(rows):
+            rhx, rly, rhy = hx[rows], ly[rows], hy[rows]
+            reach = free + int(np.searchsorted(window_lx[free:], rhx.max(), side="right"))
+            cols = window[free:reach]
+            # Window boxes come earlier, so their lo.x is no smaller than a
+            # row's: three comparisons test containment. numpy pays per row
+            # of the broadcast's outer axis, whatever its length, so the
+            # shorter of the window and the rows goes there. Kept boxes are
+            # few, and on clustered boxes the window is the shorter; at
+            # n=10^5 uniform boxes it outgrows a block.
+            if len(cols) < len(rows):
+                ins = hx[cols, None] <= rhx
+                ins &= ly[cols, None] >= rly
+                ins &= hy[cols, None] <= rhy
+                hit = ins.any(axis=0)
+            else:
+                ins = rhx[:, None] >= hx[cols]
+                ins &= rly[:, None] <= ly[cols]
+                ins &= rhy[:, None] >= hy[cols]
+                hit = ins.any(axis=1)
+            kept[rows[hit]] = False
+            rows = rows[~hit]
+        if len(rows):
+            # A row the window left (a survivor) can only hold kept boxes of
+            # its own block, and every box it holds comes earlier in it. It
+            # holds a kept one exactly when it holds an untested box or
+            # another survivor, since a survivor that is removed holds a
+            # kept box the window lacks. Columns before a row come before it
+            # in the order, so their lo.x needs no test either.
+            cols = kept[start:rows[-1]].nonzero()[0] + start
+            ins = cols < rows[:, None]
+            ins &= hx[cols] <= hx[rows, None]
+            ins &= ly[cols] >= ly[rows, None]
+            ins &= hy[cols] <= hy[rows, None]
+            kept[rows[ins.any(axis=1)]] = False
+        new = kept[start:stop].nonzero()[0][::-1] + start
         window[free - len(new):free] = new
         window_lx[free - len(new):free] = lx[new]
         free -= len(new)
-        # the window holds every kept box inside a row, and columns ascend,
-        # so the first kept hit is the lowest-index witness
-        witness[rows[dominated]] = cols[(ins[dominated] & is_kept[cols]).argmax(axis=1)]
-    removed = np.flatnonzero(witness >= 0)
-    return np.flatnonzero(is_kept), removed, witness[removed]
+    return kept
+
+
+# _CHUNK_WEIGHTS[-c:] counts down from c to 1: a chunk of c kept boxes weighs each
+# hit by its distance from the chunk's end, so the largest weight in a
+# column marks the chunk's first hit; a byte holds weights up to 255
+_CHUNK_WEIGHTS = np.arange(255, 0, -1, dtype=np.uint8)[:, None]
+_CHUNK_WEIGHTS.flags.writeable = False
+
+
+def _witnesses(coords: np.ndarray, kept: np.ndarray, removed: np.ndarray) -> np.ndarray:
+    """The second pass of the filter: the lowest-index kept box inside each removed box.
+
+    It walks the kept ids in ascending chunks of 1, 2, 4 and so on up to
+    255 boxes, with the kept boxes on the broadcast's outer axis, and a
+    removed box leaves at its first hit, so its witness is the lowest-index
+    kept box inside it. Once fewer removed boxes are left than the next
+    chunk holds, they go on the outer axis and are tested against every
+    kept box left at once. While many removed boxes are left, a chunk holds
+    no more kept boxes than keep its broadcast within 256 rows against
+    every kept box, the largest the first pass makes, so the pass needs
+    O(n) memory: at n=5*10^5 uniform boxes uncapped chunks raised the peak
+    RSS by 72 MB, capped ones by 30 MB. A kept box is never identical to
+    a removed one, so four comparisons test containment.
+    """
+    witness = np.empty(len(removed), dtype=np.intp)
+    klx, kly, khx, khy = coords.take(kept, axis=1)
+    rows = np.arange(len(removed))
+    left = coords.take(removed, axis=1)
+    start, size = 0, 1
+    while len(rows):
+        rlx, rly, rhx, rhy = left
+        if len(rows) <= size:
+            ins = rlx[:, None] <= klx[start:]
+            ins &= rly[:, None] <= kly[start:]
+            ins &= rhx[:, None] >= khx[start:]
+            ins &= rhy[:, None] >= khy[start:]
+            witness[rows] = kept[start + ins.argmax(axis=1)]
+            break
+        # no chunk tests more pairs than a block of the first pass could
+        # test against every kept box
+        chunk = min(size, max(1, _UFUNC_BUFSIZE * len(kept) // len(rows)))
+        stop = min(start + chunk, len(kept))
+        ins = klx[start:stop, None] >= rlx
+        ins &= kly[start:stop, None] >= rly
+        ins &= khx[start:stop, None] <= rhx
+        ins &= khy[start:stop, None] <= rhy
+        weighed = ins.view(np.uint8)
+        weighed *= _CHUNK_WEIGHTS[-len(weighed):]
+        top = weighed.max(axis=0)
+        hit = top > 0
+        witness[rows[hit]] = kept[stop - top[hit].astype(np.intp)]
+        rows = rows[~hit]
+        left = left.compress(~hit, axis=1)
+        start, size = stop, min(2 * size, 255)
+    return witness
 
 
 def common_intersection(boxes) -> Rectangle | None:

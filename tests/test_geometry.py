@@ -477,6 +477,24 @@ def test_filter_dominated_matches_naive():
         assert filter_dominated(rects) == first_kept_inside(rects), (n, grid)
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_unstabbable_error_names_the_smallest_shared_upper_coordinate(axis):
+    # two pairs a lower coordinate one ulp below an upper one, at 3 and at
+    # 1, the box with lower coordinate 5 listed first; boxes touching at a
+    # shared coordinate (2) are fine
+    below = [math.nextafter(c, -math.inf) for c in (3.0, 1.0)]
+    spans = [(5.0, 6.0), (below[0], 4.0), (0.0, 3.0), (below[1], 2.0), (2.0, 2.5), (0.0, 1.0)]
+    rects = [mk(lo, 0, hi, 1) if axis == "x" else mk(0, lo, 1, hi) for lo, hi in spans]
+    with pytest.raises(geometry.UnstabbableOverlapError) as err:
+        geometry._check_stabbable(geometry._coord_array(rects))
+    assert str(err.value) == (
+        f"no double lies strictly between lower {axis} {below[1]!r} and upper {axis} 1.0, "
+        f"so their overlap cannot be stabbed"
+    )
+    geometry._check_stabbable(geometry._coord_array(rects[3:5]))
+    geometry._check_stabbable(geometry._coord_array([]))
+
+
 def test_filter_dominated_empty():
     assert filter_dominated(inst_of([])) == ([], [])
 
@@ -621,12 +639,9 @@ def test_window_edge_holds_a_kept_box_starting_at_the_largest_hi_x():
     assert (kept, removed) == first_kept_inside(rects)
 
 
-def test_window_leaves_out_most_kept_boxes_of_narrow_clusters(monkeypatch):
-    # 1000 boxes around 40 points make four blocks, about half of them
-    # dominated; a box reaches at most 0.04 from its point, so a block's
-    # largest hi.x lies left of most clusters kept by the blocks before it
-    rects = nested_clusters(1000, 40, 0)
-    instance = inst_of(rects)
+def _windows(monkeypatch, boxes):
+    """The filter's result on ``boxes``, and for each tested block the number
+    of kept boxes its window reaches and the number kept before it."""
     windows = []
     searchsorted = np.searchsorted
 
@@ -636,12 +651,122 @@ def test_window_leaves_out_most_kept_boxes_of_narrow_clusters(monkeypatch):
         return reach
 
     monkeypatch.setattr(geometry.np, "searchsorted", spy)
-    result = filter_dominated(instance)
+    result = filter_dominated(boxes)
     monkeypatch.undo()
+    return result, windows
+
+
+def test_window_leaves_out_most_kept_boxes_of_narrow_clusters(monkeypatch):
+    # 1000 boxes around 40 points make four blocks, about half of them
+    # dominated; a box reaches at most 0.04 from its point, so a block's
+    # largest hi.x lies left of most clusters kept by the blocks before it
+    rects = nested_clusters(1000, 40, 0)
+    result, windows = _windows(monkeypatch, inst_of(rects))
     assert result == filter_dominated(rects) == first_kept_inside(rects)
     assert len(windows) == 4 and len(result[1]) > 400
     # the windows hold less than a third of the boxes kept before each block
     assert sum(r for r, _ in windows) * 3 < sum(k for _, k in windows)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_window_on_either_axis_of_the_broadcast(monkeypatch, seed):
+    # The first pass puts the shorter of a block's window and its tested
+    # rows on the broadcast's outer axis. Around 5 points nearly every row
+    # is tested and the windows stay well inside a block, so they go
+    # outside; 3000 uniform boxes keep more boxes than a block holds, and
+    # the late windows are wider than any block, so the rows go outside.
+    clustered = nested_clusters(1500, 5, seed)
+    result, windows = _windows(monkeypatch, clustered)
+    assert result == first_kept_inside(clustered)
+    assert max(r for r, _ in windows) < 128 and len(windows) == 6
+    uniform = list(generate_instance(3000, seed=seed).rects)
+    result, windows = _windows(monkeypatch, uniform)
+    assert result == first_kept_inside(uniform)
+    assert max(r for r, _ in windows) > 256
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_equal_widths_leave_rows_untested(seed):
+    # Boxes of one width hold another only if both share their x-range, so
+    # only the boxes that repeat an earlier lo.x are tested; the others,
+    # all of equal squares among them, are kept untested.
+    rng = random.Random(seed)
+    rects = [mk(x, y, x + 1, y + h) for x, y, h in (
+        (rng.randrange(40) / 8, rng.randrange(6), rng.randrange(1, 5)) for _ in range(700)
+    )]
+    assert filter_dominated(rects) == first_kept_inside(rects)
+    squares = equal_squares(700, seed)
+    assert filter_dominated(squares) == first_kept_inside(squares) == ([*range(700)], [])
+
+
+@pytest.mark.parametrize("place", [0, 254, 255, 256, 400])
+def test_a_box_whose_only_inner_box_shares_its_x_range(place):
+    # place boxes right of x = 3 come first in the order, and are kept
+    # untested: each has a larger hi.x than every box before it. The inner
+    # box follows at sorted position place, then the outer one, which is
+    # tested only because its inner box ties with it on hi.x, and then
+    # boxes left of x = 0. place = 255 puts the pair one on each side of
+    # the first block boundary.
+    right = [mk(3 + 0.02 * c, 0, 5 + 0.02 * c, 0.01) for c in range(place)]
+    left = [mk(-3 - 0.02 * c, 0, -1 - 0.02 * c, 0.01) for c in range(500 - place)]
+    rects = right + [mk(0, 0, 2, 3), mk(0, 1, 2, 2)] + left
+    kept, removed = filter_dominated(rects)
+    assert removed == [(place, place + 1)]
+    assert (kept, removed) == first_kept_inside(rects)
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["kept", "removed"])
+def test_exact_duplicates_straddling_a_block_boundary(inside):
+    # 255 kept boxes right of x = 3 fill the first block but one; the two
+    # copies of D follow at sorted positions 255 and 256, one in each
+    # block. The second copy ties with the first on hi.x, so it is tested,
+    # and must not count the first copy as a box inside it; the box B
+    # around both copies takes the first. With the box I inside them, at
+    # sorted position 254, both copies and B are removed and take I.
+    right = [mk(3 + 0.02 * c, 0, 5 + 0.02 * c, 0.01) for c in range(255 - inside)]
+    d, i = mk(0, 0, 2, 2), mk(0.5, 0.5, 1.5, 1.5)
+    rects = right + [d, mk(-1, -1, 2.5, 3), d] + [i] * inside
+    kept, removed = filter_dominated(rects)
+    n = len(right)
+    if inside:
+        assert removed == [(n, n + 3), (n + 1, n + 3), (n + 2, n + 3)]
+    else:
+        assert removed == [(n + 1, n)] and n + 2 in kept
+    assert (kept, removed) == first_kept_inside(rects)
+
+
+def test_witness_at_either_side_of_a_chunk_boundary():
+    # The second pass walks the kept ids in chunks of 1, 2, 4, ... and 255
+    # boxes: ranks 0, 1-2, 3-6, ..., 127-254, 255-509 and 510 on. 600 kept
+    # cells lie in a row, cell c at rank c. 300 removed boxes hold only the
+    # last cell, so more rows are left than any chunk holds and every chunk
+    # goes on the outer axis. At each chunk boundary b, one box spans cells
+    # b - 1 to b + 5 and one spans cells b to b + 5: their witnesses are the
+    # last kept box of a chunk and the first of the next, each with kept
+    # boxes of a later chunk inside as well.
+    cells = [mk(2 * c, 0, 2 * c + 1, 1) for c in range(600)]
+    last = 2 * 599
+    tail = [mk(last - e, -e, last + 1 + e, 1 + e) for e in np.linspace(0.01, 0.9, 300)]
+    spans = []
+    for b in (1, 3, 7, 15, 31, 63, 127, 255, 510):
+        spans += [mk(2 * (b - 1) - 0.5, -0.5, 2 * (b + 5) + 1.5, 1.5), mk(2 * b - 0.5, -0.5, 2 * (b + 5) + 1.5, 1.5)]
+    rects = cells + tail + spans
+    kept, removed = filter_dominated(rects)
+    assert kept == list(range(600))
+    assert [w for _, w in removed[300:]] == [c for b in (1, 3, 7, 15, 31, 63, 127, 255, 510) for c in (b - 1, b)]
+    assert (kept, removed) == first_kept_inside(rects)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chunks_capped_while_many_removed_boxes_are_left(seed):
+    # Around one point few of 3000 boxes are kept. A chunk of the second
+    # pass holds at most 256 * kept / (removed boxes left) kept boxes, so
+    # here the first chunks stop growing at about 10 boxes and grow again
+    # as removed boxes leave.
+    rects = nested_clusters(3000, 1, seed)
+    kept, removed = filter_dominated(rects)
+    assert 256 * len(kept) // len(removed) < 16
+    assert (kept, removed) == first_kept_inside(rects)
 
 
 @st.composite
