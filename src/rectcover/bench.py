@@ -230,25 +230,30 @@ def verify_random(
     """Cross-check heuristics and sweeps against the exact oracles.
 
     Runs ``count`` random instances of size ``n`` and checks, per instance:
-    ``filter_dominated`` gives the kept indices and witnesses of the plain
-    reference ``first_kept_inside``; the sweep's and a ``CornerDepths``
-    state's maximum cliques, read from box arrays of ``instance.coords`` as
-    the heuristics read them, equal the enumeration oracle's witness, read
-    from the rectangles, on every residual of a peel by the oracle's
-    cliques, with members as positions in the live list, and so does the
-    narrowed sweep ``gcc`` makes (``heuristics._narrowed_max_clique`` over
-    the cliques of ``find_top_cliques``) on each residual whose top degree
-    class holds a simplicial vertex, with the search's memory of earlier
-    residuals, as in a peel; the simplicial
-    search returns the member of least (degree, id) of the brute-force
-    simplicial scan, or None when the scan is empty, on every residual of a
-    peel that deletes the found vertex's closed neighborhood, or else the
-    maximum-degree vertex, as ``mis_greedy``'s peel does (so the non-cliques
-    a search remembers from earlier residuals, and the vertices it rejects
-    for a lower-degree neighbor, are checked together); every heuristic
-    output is valid; and the size sandwich ``mis <= exact MIS <= exact cover
-    <= gcc-i`` holds. Returns a list of violation descriptions (empty means
-    all checks passed).
+
+    - ``filter_dominated`` gives the kept indices and witnesses of the
+      plain reference ``first_kept_inside``.
+    - On every residual of a peel by the oracle's cliques, the maximum
+      clique of ``max_clique_candidates``, read from the rectangles, is
+      the one read from box arrays of ``instance.coords``, as the
+      heuristics read them, with members as positions in the live list:
+      by the sweep, by a ``CornerDepths`` state, and, wherever
+      ``find_top_cliques`` finds cliques, by the narrowed sweep ``gcc``
+      makes (``heuristics._narrowed_max_clique``), with the search's
+      memory of earlier residuals, as in a peel.
+    - The simplicial search returns the member of least (degree, id) of
+      the brute-force ``simplicial_scan``, or None when the scan is empty,
+      on every residual of a peel that deletes the found vertex's closed
+      neighborhood, or else the maximum-degree vertex, as ``mis_greedy``'s
+      peel does. So the non-cliques a search remembers from earlier
+      residuals, and the vertices it rejects for a lower-degree neighbor,
+      are checked together.
+    - Every heuristic's output is valid.
+    - The sizes keep the sandwich ``mis <= exact MIS <= exact cover <=
+      gcc-i``.
+
+    Returns a list of violation descriptions (empty means all checks
+    passed).
 
     Raises:
         ValueError: if ``count`` is negative.

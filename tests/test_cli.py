@@ -14,8 +14,9 @@ CHAIN_FILE = "n 3\n0.0 0.0 3.0 1.0\n2.0 0.0 5.0 1.0\n4.0 0.0 7.0 1.0\n"
 
 
 def run_cli(*args, **kwargs):
+    # -W error, as pytest's filterwarnings is for the in-process tests
     return subprocess.run(
-        [sys.executable, "-m", "rectcover", *map(str, args)],
+        [sys.executable, "-W", "error", "-m", "rectcover", *map(str, args)],
         capture_output=True,
         text=True,
         **kwargs,
@@ -101,6 +102,20 @@ def test_solve_file_json(tmp_path):
     assert payload["verified"] is True
     assert len(payload["points"]) == 2
     assert len(payload["assignment"]) == 3
+
+
+def test_solve_saved_instance_as_generated(tmp_path):
+    # an instance written by gen and read back solves as the one generated
+    # in memory does
+    path = tmp_path / "n20000-seed3.txt"
+    assert run_cli("gen", "--n", 20000, "--seed", 3, "--out", path).returncode == 0
+    from_file = run_cli("solve", "--algo", "gcc-i", "--file", path)
+    generated = run_cli("solve", "--algo", "gcc-i", "--n", 20000, "--seed", 3)
+    assert from_file.returncode == generated.returncode == 0
+    got, want = json.loads(from_file.stdout), json.loads(generated.stdout)
+    keys = ("size", "theta", "phi", "verified")
+    assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
+    assert want["verified"] is True
 
 
 def test_solve_file_mis(tmp_path):

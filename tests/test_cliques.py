@@ -429,6 +429,29 @@ def test_search_work_pinned(family, algo, monkeypatch):
     assert (len(found), digest, stats.entry_accesses) == SEARCH_WORK[family, algo]
 
 
+@pytest.mark.parametrize("algo", [mis_greedy, gcc_i, mis_i], ids=lambda a: a.__name__)
+def test_failed_clique_tests_reject_a_side_of_crossing_bars(algo, monkeypatch):
+    # the bars of a side share their degree, so a lower-degree neighbor
+    # seldom rejects one; a failed clique test's two non-adjacent members
+    # must reject the rest of the side at once, so that a search makes at
+    # most two tests on 400 + 400 bars
+    counts = {"searches": 0, "tests": 0}
+    test = IntersectionGraph._closed_clique_test
+
+    def counted_search(g):
+        counts["searches"] += 1
+        return find_simplicial(g)
+
+    def counted_test(self, v):
+        counts["tests"] += 1
+        return test(self, v)
+
+    monkeypatch.setattr(heuristics, "find_simplicial", counted_search)
+    monkeypatch.setattr(IntersectionGraph, "_closed_clique_test", counted_test)
+    algo(inst_of(crossing_bars(400)))
+    assert counts["searches"] and counts["tests"] <= 2 * counts["searches"], counts
+
+
 # ------------------------------------------------------- bounded sweeps
 
 

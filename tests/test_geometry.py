@@ -465,16 +465,40 @@ def test_filter_dominated_idempotent():
         assert kept2 == list(range(len(survivors)))
 
 
-def test_filter_dominated_matches_naive():
-    for seed in range(12):
-        instance = generate_instance(90, seed=1000 + seed)
-        assert filter_dominated(instance) == first_kept_inside(instance.rects)
+def _snapped_chain():
+    # four sizes drawn from one generator, in this order
+    rng = random.Random(77)
+    return [snapped_boxes(rng, n, grid) for n, grid in ((40, 3), (90, 5), (300, 4), (600, 8))]
+
+
+# Each case gives an Instance or a list of rectangles for the filter.
+NAIVE_FILTER_CASES = {
+    **{f"uniform-90-{s}": lambda s=s: generate_instance(90, seed=1000 + s) for s in range(12)},
     # integer corners: shared edges, duplicates and equal areas throughout;
     # the larger ones span more than one 256-row block
-    rng = random.Random(77)
-    for n, grid in ((40, 3), (90, 5), (300, 4), (600, 8)):
-        rects = snapped_boxes(rng, n, grid)
-        assert filter_dominated(rects) == first_kept_inside(rects), (n, grid)
+    **{f"snapped-chain-{i}": lambda i=i: _snapped_chain()[i] for i in range(4)},
+    # grids of 3-12 steps: runs of equal lo.x and of identical boxes span
+    # many blocks
+    **{
+        f"snapped-1200-grid{g}-{s}": lambda g=g, s=s: snapped_boxes(random.Random(s), 1200, g)
+        for s in range(5)
+        for g in range(3, 13)
+    },
+    # pass 1 tests boxes around 5 points with the window of kept boxes on
+    # the outer axis of its broadcast, leaves every equal square untested,
+    # and tests uniform boxes with the rows on the outer axis once the
+    # window outgrows them; pass 2 walks the kept boxes in chunks
+    **{f"clustered-2000-{s}": lambda s=s: nested_clusters(2000, 5, s) for s in range(3)},
+    **{f"squares-1500-{s}": lambda s=s: equal_squares(1500, s) for s in range(3)},
+    **{f"uniform-2000-{s}": lambda s=s: list(generate_instance(2000, seed=s).rects) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("case", list(NAIVE_FILTER_CASES))
+def test_filter_dominated_matches_naive(case):
+    boxes = NAIVE_FILTER_CASES[case]()
+    rects = boxes.rects if isinstance(boxes, Instance) else boxes
+    assert filter_dominated(boxes) == first_kept_inside(rects)
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])

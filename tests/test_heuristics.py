@@ -31,6 +31,7 @@ from conftest import (
     inst_of,
     mk,
     nested_clusters,
+    snapped_boxes,
 )
 
 
@@ -272,7 +273,9 @@ def test_frozen_sizes_on_reference_instance():
 # replaced (frame4 and the uniform seeds) or from the search that still
 # remembered found cliques (the named layouts): size, theta, phi and
 # iterations for covers, plus the first 16 hex digits of a sha256 of
-# repr((points, assignment)) or repr(members).
+# repr((points, assignment)) or repr(members). "bars-400" and
+# "uniform-20000" are pinned from the search that rejects by a failed
+# test's two non-adjacent members.
 PINNED = {
     "frame4": {
         gcc: (2, 0, 2, 2, "17b6c82cba86bbf5"),
@@ -324,12 +327,29 @@ PINNED = {
         mis_greedy: (4, "3f3770af90350e14"),
         mis_i: (4, "3f3770af90350e14"),
     },
+    # 400 + 400 bars of one degree per side: a lower-degree neighbor seldom
+    # rejects a bar, and gcc takes 400 rounds through the corner state
+    "bars-400": {
+        gcc: (400, 0, 400, 400, "79905e09dcd06c1a"),
+        gcc_i: (400, 1, 399, 400, "79905e09dcd06c1a"),
+        mis_greedy: (400, "01447474e76f8abd"),
+        mis_i: (1, "b626f0d73bbe54be"),
+    },
+    # the simplicial search's largest residuals, 2001 kept boxes
+    "uniform-20000": {
+        gcc: (407, 0, 407, 407, "a5c36bb31bee242c"),
+        gcc_i: (379, 236, 143, 379, "0ee51cc37c8ff09e"),
+        mis_greedy: (307, "1077e020e2180bf0"),
+        mis_i: (236, "f85a4356c09bbfce"),
+    },
 }
 
 PINNED_LAYOUTS = {
-    "squares": lambda: equal_squares(200, 5151),
-    "bars": lambda: crossing_bars(12),
-    "nested": lambda: nested_clusters(300, 4, 61),
+    "squares": lambda: inst_of(equal_squares(200, 5151)),
+    "bars": lambda: inst_of(crossing_bars(12)),
+    "nested": lambda: inst_of(nested_clusters(300, 4, 61)),
+    "bars-400": lambda: inst_of(crossing_bars(400)),
+    "uniform-20000": lambda: generate_instance(20000, seed=3),
 }
 
 
@@ -348,11 +368,11 @@ def test_pinned_outputs(case, frame4):
     if case == "frame4":
         instance = inst_of(frame4)
     elif case in PINNED_LAYOUTS:
-        instance = inst_of(PINNED_LAYOUTS[case]())
+        instance = PINNED_LAYOUTS[case]()
     else:
         instance = generate_instance(300, seed=trial_seed(11, 300, case))
     for algo, expected in PINNED[case].items():
-        assert _digest(algo(instance)) == expected, algo.__name__
+        assert _digest(_check_valid(algo, instance)) == expected, algo.__name__
 
 
 # ----------------------------------------------------------------- optima
@@ -410,6 +430,7 @@ def _check_valid(algo, instance):
         assert verify_cover(instance.rects, result.points, result.assignment)
     else:
         assert verify_independent(instance.rects, result.members)
+    return result
 
 
 UNSTABBABLE = {
@@ -461,6 +482,7 @@ CLIQUE_HEURISTICS = [gcc, gcc_i, mis_i]
 
 
 PEEL, CORNER_DEPTHS, FIND_TOP_CLIQUES = heuristics._peel, heuristics.CornerDepths, heuristics.find_top_cliques
+FIRST_CLIQUE_BOXES = heuristics.first_clique_boxes
 
 
 def _peels(algo, instance, monkeypatch):
@@ -531,6 +553,39 @@ STATE_CASES = {
 @pytest.mark.parametrize("family", FAMILIES)
 def test_gcc_reaches_the_corner_state_on_every_family(family, monkeypatch):
     assert _peels(gcc, family_instance(family, *STATE_CASES[family]), monkeypatch) == 1
+
+
+# Nested clusters and snapped grids, where many of gcc's maximum cliques
+# are a top-degree box's closed neighborhood, at sizes the families above
+# do not reach
+TOP_CLIQUE_CASES = {
+    **{
+        f"nested-{c}-{s}": lambda c=c, s=s: nested_clusters(2000, c, s)
+        for c in (1, 5, 20)
+        for s in range(3)
+    },
+    **{
+        f"snapped-grid{g}-{s}": lambda g=g, s=s: snapped_boxes(random.Random(s), 1200, g)
+        for g in (3, 6, 12)
+        for s in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(TOP_CLIQUE_CASES))
+def test_gcc_with_and_without_the_top_clique_search(case, monkeypatch):
+    narrowed = []
+
+    def counted(*args):
+        narrowed.append(args)
+        return FIRST_CLIQUE_BOXES(*args)
+
+    monkeypatch.setattr(heuristics, "first_clique_boxes", counted)
+    builds = _peels(gcc, inst_of(TOP_CLIQUE_CASES[case]()), monkeypatch)
+    # here a peel sweeps narrowed sets exactly when it builds no corner
+    # state: the peels that build one (20 centres, 12 grid steps) do so
+    # after their first sweep, which found no top clique
+    assert bool(narrowed) == (builds == 0)
 
 
 ONE_ULP_CASES = {
