@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Sequence
 
 from .cliques import CornerDepths, max_clique_sweep
 from .geometry import Instance, UnstabbableOverlapError, filter_dominated, generate_instance
-from .graph import bit_indices, build_graph, find_simplicial, find_top_cliques
-from .heuristics import CoverResult, IndependentSetResult, _narrowed_max_clique, gcc, gcc_i, mis_greedy, mis_i
+from .graph import bit_indices, build_graph, find_simplicial
+from .heuristics import CoverResult, IndependentSetResult, _swept_clique, gcc, gcc_i, mis_greedy, mis_i
 from .oracles import (
     DEFAULT_MCC_CAP,
     DEFAULT_MIS_CAP,
@@ -237,10 +237,10 @@ def verify_random(
       clique of ``max_clique_candidates``, read from the rectangles, is
       the one read from box arrays of ``instance.coords``, as the
       heuristics read them, with members as positions in the live list:
-      by the sweep, by a ``CornerDepths`` state, and, wherever
-      ``find_top_cliques`` finds cliques, by the narrowed sweep ``gcc``
-      makes (``heuristics._narrowed_max_clique``), with the search's
-      memory of earlier residuals, as in a peel.
+      by a full sweep, by a ``CornerDepths`` state, and by the peel's one
+      sweep call (``heuristics._swept_clique``), with the bound and the
+      ``find_top_cliques`` memory it would have in a peel: narrowed where
+      the search finds cliques, over every live box elsewhere.
     - The simplicial search returns the member of least (degree, id) of
       the brute-force ``simplicial_scan``, or None when the scan is empty,
       on every residual of a peel that deletes the found vertex's closed
@@ -279,6 +279,7 @@ def verify_random(
         # memory of the clique searches here
         residual = graph.remove_vertices(())
         live = list(range(len(rects)))
+        last = len(live)
         while live:
             want = max_clique_candidates([rects[v] for v in live])
             got = {"sweep": max_clique_sweep(boxes[live])}
@@ -288,14 +289,13 @@ def verify_random(
                 got["corner"] = replace(corner, members=tuple(map(live.index, corner.members)))
             except UnstabbableOverlapError as err:
                 got["corner"] = repr(err)
-            tops = find_top_cliques(residual)
-            if tops:
-                narrowed = _narrowed_max_clique(boxes, alive, tops)
-                got["narrowed"] = replace(narrowed, members=tuple(map(live.index, narrowed.members)))
+            peel = _swept_clique(boxes, residual, min(last, len(residual.degree_classes())))
+            got["peel"] = replace(peel, members=tuple(map(live.index, peel.members)))
             wrong = [f"{name} max clique {w}" for name, w in got.items() if w != want]
             if wrong:
                 violations.append(f"{tag} {' and '.join(wrong)} != oracle {want} on the live boxes {live}")
                 break
+            last = want.size
             residual = residual.remove_vertices(live[i] for i in want.members)
             live = [v for i, v in enumerate(live) if i not in want.members]
 

@@ -6,16 +6,16 @@ share a common interior point, so a maximum clique is a deepest point of the
 overlap arrangement and every clique can be stabbed by one point. The sweep
 starts from scratch each call; ``CornerDepths`` keeps the depths of the
 candidate corners across a peel's deletions, read off its live bitset. Both
-walk the same top-down edge events (``_edge_events``): the sweep to find
-the deepest cell, the state's build once to list its corners and their
-starting depths. The simplicial searches need only the graph and live
-with it in ``graph``.
+take the same top-down edge events (``_edge_events``) through one walk,
+``_rising_batches``: the sweep reads its maximum after each rising batch,
+and the state's build reads its corners and their starting depths. The
+simplicial searches need only the graph and live with it in ``graph``.
 
 A sweep need not read every live box. Where the graph shows a clique as
 large as its maximum degree plus one (``graph.find_top_cliques``), the
-maximum cliques are known before any sweep, and ``gcc``'s peel sweeps only
-the first one's members and the two live boxes that close its top-left
-cell (``first_clique_boxes``), with the clique's size for the bound: the
+maximum cliques are known before any sweep, and the peel's one sweep call
+(``heuristics._swept_clique``) reads only the first one's members and the
+two live boxes that close its top-left cell (``first_clique_boxes``): the
 witness is the one a sweep of all live boxes gives.
 
 Both engines read their boxes through ``geometry._coord_array``: an
@@ -78,6 +78,28 @@ def _edge_events(coords):
     return xs, events
 
 
+def _rising_batches(events, add):
+    """Apply the sorted edge ``events`` top-down; yield the y-gap below each rising batch.
+
+    ``add(first, end, delta)`` adds ``delta`` to the cells ``[first, end)``,
+    +1 for a top edge and -1 for a bottom. A batch of equal-y events ends
+    where the next one starts, and the cells then hold the depths of the gap
+    ``(y0, y1)`` between the two y values. Tops sort first, so a batch rises
+    (holds a top edge) exactly when its first event is one; only a rising
+    batch can raise a depth or start a corner. The last batch holds bottoms
+    alone and is not yielded. A caller that stops early applies no more.
+    """
+    batch_y = events[0][0]
+    rises = True
+    for neg_y, kind, a, b in events:
+        if neg_y != batch_y:
+            if rises:
+                yield -neg_y, -batch_y
+            batch_y = neg_y
+            rises = kind == TOP
+        add(a, b, -kind)
+
+
 def max_clique_sweep(boxes, *, bound: int | None = None) -> CliqueWitness:
     """Maximum clique of the given boxes by top-to-bottom line sweep.
 
@@ -85,12 +107,11 @@ def max_clique_sweep(boxes, *, bound: int | None = None) -> CliqueWitness:
     distinct x-coordinates. Sweeping y downward, each rectangle's top edge
     adds +1 and its bottom edge -1 over its open x-span in a depth array;
     after each batch of equal-y events that holds a top edge, the array's
-    maximum gives the deepest cell for the y-gap below. A batch of bottom
-    edges alone only lowers depths, so it is not read. The reported stab
-    point is the midpoint of the winning elementary cell, so it is interior
-    to every member; where the cell is one ulp wide it is a cell corner no
-    member starts or ends at. Ties keep the first maximum in sweep order
-    (decreasing y, then increasing x).
+    maximum gives the deepest cell for the y-gap below (``_rising_batches``).
+    The reported stab point is the midpoint of the winning elementary cell,
+    so it is interior to every member; where the cell is one ulp wide it is
+    a cell corner no member starts or ends at. Ties keep the first maximum
+    in sweep order (decreasing y, then increasing x).
 
     ``bound`` must be at least the maximum clique size; it defaults to the
     number of boxes. The sweep stops at the first cell as deep as
@@ -117,30 +138,17 @@ def max_clique_sweep(boxes, *, bound: int | None = None) -> CliqueWitness:
 
     xs, events = _edge_events(coords)
     tree = MaxAddSegmentTree(len(xs) - 1)
-    add = tree.add
     xs = xs.tolist()
 
     best_depth = 0
     best_cell = None  # (x0, x1, y0, y1)
-
-    # a batch of equal-y events ends where the next one starts; the tree
-    # then holds the depths of the gap between the two y values. Tops sort
-    # first, so a batch holds a top edge exactly when its first event is
-    # one. Below the last batch, all bottoms, nothing is active.
-    batch_y = events[0][0]
-    rises = True
-    for neg_y, kind, a, b in events:
-        if neg_y != batch_y:
-            if rises:
-                depth, cell = tree.peek_max()
-                if depth > best_depth:
-                    best_depth = depth
-                    best_cell = (xs[cell], xs[cell + 1], -neg_y, -batch_y)
-                    if depth >= bound:
-                        break
-            batch_y = neg_y
-            rises = kind == TOP
-        add(a, b, -kind)
+    for y0, y1 in _rising_batches(events, tree.add):
+        depth, cell = tree.peek_max()
+        if depth > best_depth:
+            best_depth = depth
+            best_cell = (xs[cell], xs[cell + 1], y0, y1)
+            if depth >= bound:
+                break
 
     return _witness(np.arange(n), coords, best_depth, best_cell)
 
@@ -156,11 +164,11 @@ def first_clique_boxes(boxes, alive: int, cliques: list[list[int]]) -> list[int]
     ``lo.x``). Two maximum cliques share no cell, so no two tie. The cell
     reaches right to the next live x after that left and down to the next
     live y below that top. So the ids are the clique's members and the live
-    boxes holding those two coordinates, ascending. A sweep of them with
-    the clique's size for its bound finds the same cell, stab point and
-    members as a sweep of every live box: each clique of that size among
-    them is a maximum clique of the live boxes, so none comes before that
-    cell.
+    boxes holding those two coordinates, ascending. The peel's one sweep
+    call (``heuristics._swept_clique``) sweeps them, with the clique's size
+    for its bound, and finds the same cell, stab point and members as a
+    sweep of every live box: each clique of that size among them is a
+    maximum clique of the live boxes, so none comes before that cell.
     """
     # one row of members per clique: maximum cliques share a size
     members = boxes[np.array(cliques)]
@@ -229,36 +237,33 @@ def _corners(coords):
     covering that cell. Returns the corners' x and y arrays, once per point,
     and their depths.
 
-    One top-down walk of the edge events finds them all. After a batch of
-    equal-y events, the depth array holds the depths of the y-gap below it,
-    and ``starts`` counts the boxes active there by the cell their left edge
-    starts at. So the corners at a batch's y are the cells inside some top
-    edge of the batch where an active box starts, read after the batch's
-    bottoms are applied.
+    The sweep's walk of the edge events, ``_rising_batches``, finds them
+    all. After a batch of equal-y events, the depth array holds the depths
+    of the y-gap below it, and ``starts`` counts the boxes active there by
+    the cell their left edge starts at. So the corners at a batch's y are
+    the cells inside some top edge of the batch where an active box
+    starts, read after the batch's bottoms are applied.
     """
     xs, events = _edge_events(coords)
     depth = np.zeros(len(xs) - 1, dtype=np.int64)
     starts = np.zeros_like(depth)
     cells, depths, ys, tops = [], [], [], []
-    # a batch is read when the next one starts; the last batch holds
-    # bottoms alone, as in max_clique_sweep, so it needs no read
-    batch_y = events[0][0]
-    for neg_y, kind, a, b in events:
-        if neg_y != batch_y:
-            if tops:
-                # the top edges of one batch may share cells: keep each once
-                found = [starts[lo:hi].nonzero()[0] + lo for lo, hi in tops]
-                cells.append(found[0] if len(found) == 1 else np.unique(np.concatenate(found)))
-                depths.append(depth[cells[-1]])
-                ys.append(-batch_y)
-                tops = []
-            batch_y = neg_y
-        # a view, not depth[a:b] -= kind: that also writes the view back
+
+    def add(a, b, delta):
+        # a view, not depth[a:b] += delta: that also writes the view back
         span = depth[a:b]
-        span -= kind
-        starts[a] -= kind
-        if kind == TOP:
+        span += delta
+        starts[a] += delta
+        if delta > 0:
             tops.append((a, b))
+
+    for _, y in _rising_batches(events, add):
+        # the top edges of one batch may share cells: keep each once
+        found = [starts[lo:hi].nonzero()[0] + lo for lo, hi in tops]
+        cells.append(found[0] if len(found) == 1 else np.unique(np.concatenate(found)))
+        depths.append(depth[cells[-1]])
+        ys.append(y)
+        tops.clear()
     return xs[np.concatenate(cells)], np.repeat(ys, [*map(len, cells)]), np.concatenate(depths)
 
 

@@ -84,28 +84,26 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
     index ``kept`` and the rows of ``boxes``; the graph, the sweeps and the
     state read ``boxes`` and its row slices, and no ``Rectangle``.
 
-    A maximum clique comes from ``max_clique_sweep`` over the live
-    rectangles until a sweep's clique falls short of its ``bound``. Such a
-    sweep never stopped early: it walked all its edge events, and a
-    ``CornerDepths`` build walks the same events once. So the next stuck
-    round builds the state over the live rectangles and takes every later
-    clique from it; the state reads the graph's live bitset and takes the
-    deletions since the last stuck round then. Both give the same witness,
-    so the switch changes no round. A peel whose sweeps all reach their
-    bound keeps sweeping.
+    A maximum clique comes from one sweep call, ``_swept_clique``, until a
+    sweep's clique falls short of its ``bound``. Such a sweep never stopped
+    early: it walked all its edge events, and a ``CornerDepths`` build
+    walks the same events once. So the next stuck round builds the state
+    over the live rectangles and takes every later clique from it; the
+    state reads the graph's live bitset and takes the deletions since the
+    last stuck round then. Both give the same witness, so the switch
+    changes no round. A peel whose sweeps all reach their bound keeps
+    sweeping.
 
-    A sweep's ``bound`` is the live graph's maximum degree plus one, or the
-    size of the last stuck step's clique if that is less. Live sets only
-    shrink, so both bound the live graph's maximum clique.
-
-    A stuck round before the state is built first asks ``find_top_cliques``
-    for the cliques of maximum degree plus one boxes. If there are any,
-    they are the maximum cliques, and ``_narrowed_max_clique`` sweeps only
-    a few boxes, with that size for its bound; the sweep finds the witness
-    a sweep of every live box would, and reaches its bound, so the switch
-    comes when it did. ``gcc_i`` and ``mis_i`` are stuck only when
-    ``find_simplicial`` has rejected every live vertex, so for them the
-    search finds nothing at once.
+    Every sweep's ``bound`` is the live graph's maximum degree plus one,
+    or the size of the last stuck step's clique if that is less. Live sets
+    only shrink, so both bound the live graph's maximum clique. Where
+    ``find_top_cliques`` lists cliques of maximum degree plus one boxes,
+    they are the maximum cliques, so the bound is their size, and the
+    sweep reads only a few boxes; it finds the witness a sweep of every
+    live box would, and reaches its bound, so the switch comes when it
+    would. ``gcc_i`` and ``mis_i`` are stuck only when ``find_simplicial``
+    has rejected every live vertex, so for them the search finds nothing
+    at once.
     """
     kept, removed, inside = filter_dominated(instance)
     # take, not coords[:, kept]: that comes back Fortran-ordered, with strided rows
@@ -126,40 +124,31 @@ def _peel(instance: Instance, simplicial: bool, cliques: bool):
                 corners = CornerDepths(boxes, graph.alive_mask)
             if corners is not None:
                 witness = corners.max_clique(graph.alive_mask)
-                members = witness.members
             else:
-                tops = find_top_cliques(graph)
-                if tops:
-                    witness = _narrowed_max_clique(boxes, graph.alive_mask, tops)
-                    bound = len(tops[0])
-                    members = witness.members
-                else:
-                    vs = graph.vertices()
-                    bound = min(last, len(graph.degree_classes()))
-                    witness = max_clique_sweep(boxes[vs], bound=bound)
-                    members = tuple(vs[local] for local in witness.members)
+                bound = min(last, len(graph.degree_classes()))
+                witness = _swept_clique(boxes, graph, bound)
                 walked = witness.size < bound
-            step = (None, members, witness.stab)
-            last = len(members)
+            step = (None, witness.members, witness.stab)
+            last = witness.size
         rounds.append(step)
         graph = graph.remove_vertices(step[1])
     return kept, removed, inside, boxes, rounds
 
 
-def _narrowed_max_clique(boxes, alive: int, cliques: list[list[int]]) -> CliqueWitness:
-    """The sweep's maximum clique of the live rows of ``boxes``, read from a few.
+def _swept_clique(boxes, graph, bound: int) -> CliqueWitness:
+    """The maximum clique of ``graph``'s live rows of ``boxes``, by one sweep.
 
-    ``alive`` is the bitset of the live rows and ``cliques`` their maximum
-    cliques, as ``find_top_cliques`` gives them. ``max_clique_sweep`` reads
-    only the boxes ``first_clique_boxes`` picks, with the cliques' size for
-    its bound, and the witness's members are row ids of ``boxes``. It is
-    the witness a sweep of every live row gives. ``bench.verify_random``
-    checks it against the oracle. The sweep is called through this module,
-    as the full one is, so a hook on ``heuristics.max_clique_sweep`` sees
-    both.
+    ``bound`` must be at least the live graph's maximum clique size. Where
+    ``find_top_cliques`` lists cliques, ``max_clique_sweep`` reads only the
+    rows ``first_clique_boxes`` picks, and otherwise every live row; either
+    way the witness is the one a sweep of every live row gives. Its members
+    are row ids of ``boxes``. The names are looked up in this module at call
+    time, so a hook on ``heuristics.max_clique_sweep`` sees every sweep.
+    ``bench.verify_random`` checks it against the oracle on every residual.
     """
-    vs = first_clique_boxes(boxes, alive, cliques)
-    witness = max_clique_sweep(boxes[vs], bound=len(cliques[0]))
+    tops = find_top_cliques(graph)
+    vs = first_clique_boxes(boxes, graph.alive_mask, tops) if tops else graph.vertices()
+    witness = max_clique_sweep(boxes[vs], bound=bound)
     return CliqueWitness(tuple(vs[local] for local in witness.members), witness.stab)
 
 

@@ -176,7 +176,7 @@ def test_verify_random_checks_the_narrowed_sweep(monkeypatch):
     monkeypatch.setattr(heuristics, "first_clique_boxes", last_in_sweep_order)
     violations = verify_random(3, 11, base_seed=2)
     assert len(violations) == 2
-    assert all("narrowed max clique" in v and "sweep max clique" not in v for v in violations)
+    assert all("peel max clique" in v and "sweep max clique" not in v for v in violations)
     assert all("corner max clique" not in v for v in violations)
 
 

@@ -555,7 +555,8 @@ def test_first_clique_boxes_follow_sweep_order(rects):
     assert ids == [2, 3, 4, 5]
     full = max_clique_sweep(boxes)
     assert full.members == (2, 3)
-    assert heuristics._narrowed_max_clique(boxes, g.alive_mask, tops) == full
+    # the peel's bound on the whole graph: its maximum degree plus one
+    assert heuristics._swept_clique(boxes, g, len(g.degree_classes())) == full
     # without the two boxes apart the cell would reach further, and the
     # stab point would move
     assert max_clique_sweep(boxes[[2, 3]]).stab != full.stab

@@ -482,7 +482,7 @@ CLIQUE_HEURISTICS = [gcc, gcc_i, mis_i]
 
 
 PEEL, CORNER_DEPTHS, FIND_TOP_CLIQUES = heuristics._peel, heuristics.CornerDepths, heuristics.find_top_cliques
-FIRST_CLIQUE_BOXES = heuristics.first_clique_boxes
+FIRST_CLIQUE_BOXES, MAX_CLIQUE_SWEEP = heuristics.first_clique_boxes, heuristics.max_clique_sweep
 
 
 def _peels(algo, instance, monkeypatch):
@@ -574,18 +574,30 @@ TOP_CLIQUE_CASES = {
 
 @pytest.mark.parametrize("case", list(TOP_CLIQUE_CASES))
 def test_gcc_with_and_without_the_top_clique_search(case, monkeypatch):
-    narrowed = []
+    picked, narrowed = [], []
 
     def counted(*args):
-        narrowed.append(args)
-        return FIRST_CLIQUE_BOXES(*args)
+        picked.append(FIRST_CLIQUE_BOXES(*args))
+        return picked[-1]
+
+    def counted_sweep(boxes, *, bound):
+        witness = MAX_CLIQUE_SWEEP(boxes, bound=bound)
+        if picked:
+            # the sweep over the rows first_clique_boxes just picked
+            assert len(boxes) == len(picked.pop())
+            narrowed.append((bound, witness.size))
+        return witness
 
     monkeypatch.setattr(heuristics, "first_clique_boxes", counted)
+    monkeypatch.setattr(heuristics, "max_clique_sweep", counted_sweep)
     builds = _peels(gcc, inst_of(TOP_CLIQUE_CASES[case]()), monkeypatch)
+    assert not picked
     # here a peel sweeps narrowed sets exactly when it builds no corner
     # state: the peels that build one (20 centres, 12 grid steps) do so
     # after their first sweep, which found no top clique
     assert bool(narrowed) == (builds == 0)
+    # the peel's one bound rule gives such a sweep the top cliques' size
+    assert all(bound == size for bound, size in narrowed)
 
 
 ONE_ULP_CASES = {

@@ -57,6 +57,7 @@ def test_matches_array_simulation(size):
     rng = random.Random(size * 31 + 5)
     tree = MaxAddSegmentTree(size)
     array = [0] * size
+    assert tree.size == size
     for _ in range(400):
         lo = rng.randrange(size)
         hi = rng.randrange(lo + 1, size + 1)
@@ -79,7 +80,7 @@ def _expected(array):
 
 
 @pytest.mark.parametrize("size", EDGE_SIZES)
-def test_padding_never_wins_when_all_cells_negative(size):
+def test_leftmost_maximum_when_all_cells_negative(size):
     tree = MaxAddSegmentTree(size)
     tree.add(0, size, -5)
     array = [-5] * size
@@ -107,24 +108,6 @@ def test_maximum_in_last_real_cell(size):
         tree.add(size - 2, size, -1)
         tree.add(size - 1, size, 2)
         assert tree.peek_max() == (-6, size - 1)
-
-
-@pytest.mark.parametrize("size", EDGE_SIZES)
-def test_padded_sizes_match_array_simulation(size):
-    rng = random.Random(size * 131 + 7)
-    tree = MaxAddSegmentTree(size)
-    array = [0] * size
-    assert tree.size == size
-    for _ in range(300):
-        lo = rng.randrange(size)
-        hi = rng.randrange(lo + 1, size + 1)
-        delta = rng.randint(-4, 3)
-        tree.add(lo, hi, delta)
-        for i in range(lo, hi):
-            array[i] += delta
-        assert tree.peek_max() == _expected(array)
-    with pytest.raises(ValueError):
-        tree.add(0, size + 1, 1)
 
 
 @st.composite
